@@ -16,15 +16,17 @@ from typing import Optional
 from .errors import InputError, InternalError, SizeError
 from .files import decimal_string, parse_allocation, parse_instance
 from .game import (
+    ENUMERATION_LIMIT,
     Allocation,
     Coalition,
+    CoreCheck,
     NormalizedInstance,
+    SingleMarketGame,
     core_check,
     normalize,
     to_single_market,
     value_general,
 )
-from .game import CoreCheck
 from .multimarket import core_point, decompose, shapley_multimarket, sum_of_nucleoli
 from .nucleolus import nucleolus_bruteforce, nucleolus_primal_dual
 from .shapley import shapley_bruteforce
@@ -109,12 +111,42 @@ def _cached_oracle(inst: NormalizedInstance):
     return lambda coalition: by_mask(coalition.mask)
 
 
-def _core_flag(inst: NormalizedInstance, alloc: Allocation) -> Optional[bool]:
+def _single_game(inst: NormalizedInstance) -> Optional[SingleMarketGame]:
+    """The canonical game of an uncapacitated instance with one effective
+    market, or None."""
+    markets = _effective_markets(inst)
+    if inst.uncapacitated and len(markets) == 1:
+        return to_single_market(inst, markets[0])
+    return None
+
+
+def _core_result(
+    inst: NormalizedInstance, game: Optional[SingleMarketGame], values, oracle
+) -> CoreCheck:
+    """Core membership of an efficient payoff vector in original terms.
+
+    With the instance's one-market game (see `_single_game`) this is the
+    polynomial minimum-excess scan; without, it enumerates coalitions
+    through `oracle`.
+    """
+    if game is None:
+        return core_check(oracle, values, inst.n)
+    canonical = tuple(values[game.perm[k] - 1] / game.scale for k in range(game.n))
+    result = core_check(game, canonical)
+    if result.violated is None:
+        return result
+    original = Coalition.of(game.perm[k - 1] for k in result.violated.members())
+    return CoreCheck(False, original, result.excess * game.scale)
+
+
+def _core_flag(
+    inst: NormalizedInstance, game: Optional[SingleMarketGame], alloc: Allocation, oracle
+) -> Optional[bool]:
     if alloc.in_core is not None:
         return alloc.in_core
-    if inst.n > 20:
+    if game is None and inst.n > ENUMERATION_LIMIT:
         return None
-    return core_check(_cached_oracle(inst), alloc.values, inst.n).in_core
+    return _core_result(inst, game, alloc.values, oracle).in_core
 
 
 def cmd_value(args) -> dict:
@@ -146,19 +178,18 @@ def cmd_value(args) -> dict:
 
 def cmd_allocate(args) -> dict:
     inst = normalize(parse_instance(args.instance))
-    markets = _effective_markets(inst)
-    single = inst.uncapacitated and len(markets) == 1
+    game = _single_game(inst)
+    oracle = _cached_oracle(inst)
     trace_steps = None
 
     if args.method == "nucleolus":
-        if args.trace and not (single and not args.oracle):
+        if args.trace and not (game is not None and not args.oracle):
             raise InputError(
                 "--trace needs the fast nucleolus on a single-market instance"
             )
         if args.oracle:
-            alloc = nucleolus_bruteforce(_cached_oracle(inst), inst.n)
-        elif single:
-            game = to_single_market(inst, markets[0])
+            alloc = nucleolus_bruteforce(oracle, inst.n)
+        elif game is not None:
             trace_steps = [] if args.trace else None
             alloc = nucleolus_primal_dual(game, trace=trace_steps)
         else:
@@ -174,7 +205,7 @@ def cmd_allocate(args) -> dict:
         if inst.uncapacitated:
             alloc = shapley_multimarket(decompose(inst))
         elif args.oracle:
-            alloc = shapley_bruteforce(_cached_oracle(inst), inst.n)
+            alloc = shapley_bruteforce(oracle, inst.n)
         else:
             raise InputError(
                 "the closed-form Shapley value needs unlimited capacities; "
@@ -196,7 +227,7 @@ def cmd_allocate(args) -> dict:
             {"player": name, **_fmt(alloc.values[i], args)}
             for i, name in enumerate(inst.players)
         ],
-        "core": _core_flag(inst, alloc),
+        "core": _core_flag(inst, game, alloc, oracle),
     }
     if trace_steps is not None:
         report["trace"] = [
@@ -222,20 +253,7 @@ def cmd_check(args) -> dict:
             f"allocation sums to {sum(values)} but the grand coalition is "
             f"worth {total}; core membership needs exact efficiency"
         )
-    markets = _effective_markets(inst)
-    if inst.uncapacitated and len(markets) == 1:
-        game = to_single_market(inst, markets[0])
-        canonical = tuple(
-            values[game.perm[k] - 1] / game.scale for k in range(game.n)
-        )
-        result = core_check(game, canonical)
-        if result.violated is not None:
-            original = Coalition.of(
-                game.perm[k - 1] for k in result.violated.members()
-            )
-            result = CoreCheck(False, original, result.excess * game.scale)
-    else:
-        result = core_check(oracle, values, inst.n)
+    result = _core_result(inst, _single_game(inst), values, oracle)
 
     report = {"command": "check", "in_core": result.in_core}
     if not result.in_core:

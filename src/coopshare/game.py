@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from functools import cached_property
+from math import lcm
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DegenerateMarketError,
@@ -211,6 +213,41 @@ def normalize(inst: Instance) -> NormalizedInstance:
     )
 
 
+def _numerators(values: Sequence[Fraction], base: int = 1) -> tuple[list[int], int]:
+    """Numerators of `values` over the least common multiple of `base` and
+    their denominators, and that multiple."""
+    den = lcm(base, *(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+class IntegerForm(NamedTuple):
+    """A single-market game over integers.
+
+    alpha[k] = alpha_k * alpha_den and share[k] = share_k * share_den, so
+    alpha_i * share_j = alpha[i] * share[j] / den for every pair.
+    """
+
+    alpha: tuple[int, ...]
+    share: tuple[int, ...]
+    alpha_den: int
+    share_den: int
+
+    @property
+    def den(self) -> int:
+        return self.alpha_den * self.share_den
+
+    def numerators(self, values: Sequence[Fraction]) -> tuple[list[int], int]:
+        """Numerators of `values` over K, the least common multiple of
+        `den` and their denominators, and K itself."""
+        return _numerators(values, self.den)
+
+    def shares_over(self, k: int) -> list[int]:
+        """Shares scaled so that alpha[i] * result[j] = alpha_i * share_j * k;
+        k must be a multiple of `den`."""
+        up = k // self.den
+        return [s * up for s in self.share]
+
+
 @dataclass(frozen=True)
 class SingleMarketGame:
     """One market in canonical form: alpha nonincreasing, shares sum to 1.
@@ -248,6 +285,13 @@ class SingleMarketGame:
     @property
     def n(self) -> int:
         return len(self.alpha)
+
+    @cached_property
+    def integer_form(self) -> IntegerForm:
+        """The game's data as integers over two common denominators."""
+        alpha, alpha_den = _numerators(self.alpha)
+        share, share_den = _numerators(self.share)
+        return IntegerForm(tuple(alpha), tuple(share), alpha_den, share_den)
 
     def to_original(self, values: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Map a canonical payoff vector to original order and units."""
@@ -405,14 +449,17 @@ def min_excess(
     x = [rat(v) for v in x]
     if n == 1:
         return Coalition(1), x[0] - g.alpha[0] * g.share[0]
+    form = g.integer_form
+    xs, den = form.numerators(x)  # every excess below is a numerator over den
+    share = form.shares_over(den)
     best_mask, best_val = None, None
     for k in range(n):
-        a = g.alpha[k]
+        a = form.alpha[k]
         mask = 1 << k
-        total = x[k] - a * g.share[k]
+        total = xs[k] - a * share[k]
         worst = None  # least negative contribution, dropped if S would be N
         for i in range(k + 1, n):
-            w = x[i] - a * g.share[i]
+            w = xs[i] - a * share[i]
             if w < 0:
                 mask |= 1 << i
                 total += w
@@ -423,7 +470,7 @@ def min_excess(
             total -= worst[1]
         if best_val is None or total < best_val:
             best_mask, best_val = mask, total
-    return Coalition(best_mask), best_val
+    return Coalition(best_mask), Fraction(best_val, den)
 
 
 @dataclass(frozen=True)

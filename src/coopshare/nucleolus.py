@@ -18,9 +18,10 @@ fast routes are tested against.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InternalError, SizeError
@@ -32,7 +33,6 @@ from .ratlp import (
     MAX,
     OPTIMAL,
     LinearProgram,
-    RowSpace,
     rat,
     solve_lp,
     solve_linear_system,
@@ -77,8 +77,8 @@ class ImprovingDirection:
     """Direction raising the level: +|unfixed - 1| on player 1, -1 on the
     other unfixed players, 0 on fixed ones; preserves efficiency."""
 
-    delta: tuple[Fraction, ...]
-    step: Fraction = _ONE
+    delta: tuple[int, ...]
+    step: int = 1
 
     def __post_init__(self):
         if sum(self.delta) != 0:
@@ -88,10 +88,10 @@ class ImprovingDirection:
 def improving_direction(family: FixedFamily) -> ImprovingDirection:
     n = family.n
     fixed = family.fixed
-    delta = [Fraction(-1)] * n
-    delta[0] = Fraction(n - 1 - len(fixed))
+    delta = [-1] * n
+    delta[0] = n - 1 - len(fixed)
     for p in fixed.members():
-        delta[p - 1] = _ZERO
+        delta[p - 1] = 0
     direction = ImprovingDirection(tuple(delta))
     # zero on every fixed player and on N as a whole pins the direction
     # orthogonal to the entire fixed family
@@ -102,25 +102,62 @@ def improving_direction(family: FixedFamily) -> ImprovingDirection:
 
 @dataclass
 class SchemeState:
-    """Mutable state of one primal-dual run (canonical space)."""
+    """Mutable state of one primal-dual run (canonical space).
 
-    x: list[Fraction]
-    epsilon: Fraction
+    The payoffs and the level are integer numerators over one common
+    denominator: x = nums / den and epsilon = eps / den, where den is
+    always a multiple of the game's `integer_form.den`.
+    """
+
+    nums: list[int]
+    eps: int
+    den: int
     family: FixedFamily
     level: int
 
+    @classmethod
+    def start(cls, g: SingleMarketGame) -> "SchemeState":
+        """x = alpha_1 * share (every drop-one coalition tight), epsilon = 0."""
+        form = g.integer_form
+        top = form.alpha[0]
+        return cls([top * s for s in form.share], 0, form.den,
+                   FixedFamily(Coalition(0), g.n), 0)
+
+    @property
+    def x(self) -> list[Fraction]:
+        return [Fraction(v, self.den) for v in self.nums]
+
+    @property
+    def epsilon(self) -> Fraction:
+        return Fraction(self.eps, self.den)
+
+    def advance(self, lam: Fraction, direction: ImprovingDirection) -> None:
+        """Move x by lam * delta and epsilon by lam * step."""
+        den = lcm(self.den, lam.denominator)
+        up = den // self.den
+        step = lam.numerator * (den // lam.denominator)
+        self.nums = [v * up + step * d for v, d in zip(self.nums, direction.delta)]
+        self.eps = self.eps * up + step * direction.step
+        self.den = den
+
     def validate(self, g: SingleMarketGame) -> None:
         # Every player outside the fixed set (other than 1) must keep the
-        # drop-one coalition N\{i} tight at the current level.
-        total = sum(self.x)
+        # drop-one coalition N\{i} tight at the current level:
+        # x(N) - x_i = alpha_1 * (1 - share_i) + epsilon, over den.
+        form = g.integer_form
+        up = self.den // form.den
+        top = form.alpha[0] * up
+        total = sum(self.nums)
+        fixed = self.family.fixed.mask
         for i in range(2, g.n + 1):
-            if i in self.family.fixed:
+            if fixed >> (i - 1) & 1:
                 continue
-            lhs = total - self.x[i - 1]
-            rhs = g.alpha[0] * (1 - g.share[i - 1]) + self.epsilon
+            lhs = total - self.nums[i - 1]
+            rhs = top * (form.share_den - form.share[i - 1]) + self.eps
             if lhs != rhs:
                 raise InternalError(
-                    f"drop-one tightness violated for player {i}: {lhs} != {rhs}"
+                    f"drop-one tightness violated for player {i}: "
+                    f"{Fraction(lhs, self.den)} != {Fraction(rhs, self.den)}"
                 )
 
 
@@ -150,48 +187,59 @@ def step_size(
     the t (or t-1 when i is outside F) cheapest later non-F players.
     A zero step means some unfixed coalition is already tight; the
     caller then only grows F.
+
+    Runs on integers: x and epsilon become numerators over one common
+    denominator, the cheapest candidates for t = 1, 2, ... are running
+    prefix sums over the sorted non-F weights, and candidate steps
+    (T - epsilon) / (1 + t) are compared by cross-multiplication.  Ties
+    go to the first (i, t).  O(n^2 log n) integer operations per call.
     """
     n = g.n
     if family.complete:
         raise InternalError("step_size called with nothing left to fix")
     if len(x) != n:
         raise InputError(f"payoff vector has length {len(x)}, expected {n}")
+    form = g.integer_form
+    xs, den = form.numerators([*x, epsilon])
+    eps = xs.pop()
+    share = form.shares_over(den)
     fixed_mask = family.fixed.mask
     budget = n - 1 - len(family.fixed)
-    best: Optional[tuple[Fraction, int]] = None
-    for i in range(2, n + 1):
-        a = g.alpha[i - 1]
-        in_f = bool(fixed_mask >> (i - 1) & 1)
-        base = x[i - 1] - a * g.share[i - 1]
-        base_mask = 1 << (i - 1)
-        outside: list[tuple[Fraction, int]] = []
-        for j in range(i + 1, n + 1):
-            w = x[j - 1] - a * g.share[j - 1]
-            if fixed_mask >> (j - 1) & 1:
-                if w < 0:
-                    base += w
-                    base_mask |= 1 << (j - 1)
-            else:
-                outside.append((w, j))
-        outside.sort()
-        for t in range(1, budget + 1):
-            take = t if in_f else t - 1
-            if take > len(outside):
-                break
-            total = base
-            mask = base_mask
-            for w, j in outside[:take]:
+    # 0-based positions of the players after player 1, split by F
+    fixed = [j for j in range(1, n) if fixed_mask >> j & 1]
+    free = [j for j in range(1, n) if not fixed_mask >> j & 1]
+    # the best candidate so far is the step best_num / (den * best_t1)
+    best_num, best_t1, best_mask = None, 1, 0
+    for i in range(1, n):  # 0-based position of the smallest member
+        a = form.alpha[i]
+        in_f = fixed_mask >> i & 1
+        total = xs[i] - a * share[i] - eps
+        mask = 1 << i
+        for j in fixed[bisect_right(fixed, i):]:
+            w = xs[j] - a * share[j]
+            if w < 0:
                 total += w
-                mask |= 1 << (j - 1)
-            lam = (total - epsilon) / (1 + t)
-            if best is None or lam < best[0]:
-                best = (lam, mask)
-    if best is None:
+                mask |= 1 << j
+        outside = sorted(
+            [(xs[j] - a * share[j], j) for j in free[bisect_right(free, i):]]
+        )
+        # t >= 1 counts the candidate's members outside F, i included;
+        # each outside player taken (cheapest first) adds one
+        t1 = 2 - in_f  # 1 + t before any outside player is taken
+        if not in_f and (best_num is None or total * best_t1 < best_num * t1):
+            best_num, best_t1, best_mask = total, t1, mask
+        for w, j in outside[: budget - 1 + in_f]:
+            total += w
+            mask |= 1 << j
+            t1 += 1
+            if best_num is None or total * best_t1 < best_num * t1:
+                best_num, best_t1, best_mask = total, t1, mask
+    if best_num is None:
         raise InternalError("no candidate coalition found; family inconsistent")
-    lam, mask = best
+    lam = Fraction(best_num, den * best_t1)
     if lam < 0:
         raise InternalError(f"negative step {lam}: state infeasible")
-    return lam, Coalition(mask)
+    return lam, Coalition(best_mask)
 
 
 def _canonical_allocation(
@@ -213,12 +261,7 @@ def nucleolus_primal_dual(
     method = "nucleolus (primal-dual)"
     if n == 1:
         return _canonical_allocation(g, (g.alpha[0],), method)
-    state = SchemeState(
-        x=[g.alpha[0] * g.share[k] for k in range(n)],
-        epsilon=_ZERO,
-        family=FixedFamily(Coalition(0), n),
-        level=0,
-    )
+    state = SchemeState.start(g)
     state.validate(g)
     while not state.family.complete:
         state.level += 1
@@ -226,9 +269,7 @@ def nucleolus_primal_dual(
             raise InternalError("primal-dual exceeded its n - 1 round bound")
         lam, blocking = step_size(g, state.x, state.epsilon, state.family)
         if lam > 0:
-            direction = improving_direction(state.family)
-            state.x = [xi + lam * di for xi, di in zip(state.x, direction.delta)]
-            state.epsilon += lam * direction.step
+            state.advance(lam, improving_direction(state.family))
         grown = state.family.fixed.union(blocking)
         if grown.mask == state.family.fixed.mask:
             raise InternalError("fixed set failed to grow")
@@ -270,7 +311,7 @@ def separate(
     cheapest set, and when that set is span-pinned the nearest feasible
     edits (dropping a maximal prefix tail, adding a maximal suffix) are
     the only candidates that can escape the span.  Everything is exact;
-    span tests use Gaussian elimination.
+    span tests use integer Gaussian elimination on coalition masks.
     """
     n = g.n
     x = [rat(v) for v in x]
@@ -278,13 +319,13 @@ def separate(
         raise InputError(f"point has length {len(x)}, expected {n}")
     if sum(x) != g.alpha[0]:
         raise InputError("separation point must distribute v(N) exactly")
-    span = RowSpace()
+    span = _MaskSpan(n)
     for coalition, value in fixed:
         if sum(x[k - 1] for k in coalition.members()) != value:
             raise InputError(
                 f"separation point violates the fixed value of {coalition}"
             )
-        span.add(_chi(coalition.mask, n))
+        span.add(coalition.mask)
 
     for i in range(1, n + 1):
         a = g.alpha[i - 1]
@@ -303,7 +344,7 @@ def separate(
         mask = 1 << (i - 1)
         for k in range(jbar):
             mask |= 1 << (items[k][1] - 1)
-        if not span.contains(_chi(mask, n)):
+        if not span.contains(mask):
             return Coalition(mask)
 
         # cheapest set is pinned; scan how far the pinned-and-violated
@@ -311,7 +352,7 @@ def separate(
         low = jbar + 1
         for l in range(jbar, 0, -1):
             w, j = items[l - 1]
-            if total - w < bound and span.contains(_chi(mask & ~(1 << (j - 1)), n)):
+            if total - w < bound and span.contains(mask & ~(1 << (j - 1))):
                 low = l
             else:
                 break
@@ -323,9 +364,7 @@ def separate(
             high = jbar
             for l in range(jbar + 1, p + 1):
                 w, j = items[l - 1]
-                if total + w < bound and span.contains(
-                    _chi(mask | 1 << (j - 1), n)
-                ):
+                if total + w < bound and span.contains(mask | 1 << (j - 1)):
                     high = l
                 else:
                     break
@@ -333,12 +372,12 @@ def separate(
         if low > 1:
             w, j = items[low - 2]
             cand = mask & ~(1 << (j - 1))
-            if total - w < bound and not span.contains(_chi(cand, n)):
+            if total - w < bound and not span.contains(cand):
                 return Coalition(cand)
         if high < p:
             w, j = items[high][0], items[high][1]
             cand = mask | 1 << (j - 1)
-            if total + w < bound and not span.contains(_chi(cand, n)):
+            if total + w < bound and not span.contains(cand):
                 return Coalition(cand)
         # otherwise no separating coalition starts at i
     return None
@@ -376,18 +415,18 @@ def nucleolus_separation(g: SingleMarketGame) -> Allocation:
     if n == 1:
         return _canonical_allocation(g, (g.alpha[0],), method)
     full = (1 << n) - 1
-    span = RowSpace()
-    span.add(_chi(full, n))
+    span = _MaskSpan(n)
+    span.add(full)
     fixed: list[tuple[Coalition, Fraction]] = [(Coalition(full), g.alpha[0])]
     pool: list[int] = []
     values: dict[int, Fraction] = {}
     cut_guard = 2 << n
 
     while span.rank < n:
-        pool = [m for m in pool if not span.contains(_chi(m, n))]
+        pool = [m for m in pool if not span.contains(m)]
         for k in range(n):
             m = 1 << k
-            if m not in pool and not span.contains(_chi(m, n)):
+            if m not in pool and not span.contains(m):
                 pool.append(m)
         for m in pool:
             if m not in values:
@@ -410,7 +449,7 @@ def nucleolus_separation(g: SingleMarketGame) -> Allocation:
         for idx, mask in enumerate(pool):
             # a negative multiplier on a >= row of a max program marks a
             # binding constraint (its covering-form dual is positive)
-            if res.duals[idx] < 0 and not span.contains(_chi(mask, n)):
+            if res.duals[idx] < 0 and not span.contains(mask):
                 chosen = mask
                 if not res.tight[idx]:
                     raise InternalError("binding coalition is not tight")
@@ -418,7 +457,7 @@ def nucleolus_separation(g: SingleMarketGame) -> Allocation:
         if chosen is None:
             raise InternalError("no binding independent coalition to fix")
         fixed.append((Coalition(chosen), values[chosen] + level_value))
-        span.add(_chi(chosen, n))
+        span.add(chosen)
 
     rows = [_chi(c.mask, n) for c, _ in fixed]
     rhs = [value for _, value in fixed]

@@ -282,18 +282,17 @@ class _Canonical:
         slack_sign: list[int] = []
         self.row_mult: list[Fraction] = []  # internal row = mult * user row
         for i in range(m):
-            coeffs = list(lp.rows[i])
+            coeffs = lp.rows[i]
             b = lp.rhs[i]
-            neg = 1
-            if b < 0:
-                neg = -1
-                coeffs = [-a for a in coeffs]
-                b = -b
+            neg = -1 if b < 0 else 1
             scale = lcm(*(a.denominator for a in coeffs), b.denominator)
             self.row_mult.append(Fraction(neg * scale))
             row = [0] * self.n_with_slack
             for j, a in enumerate(coeffs):
-                v = int(a * scale)
+                if not a:
+                    continue
+                # a * scale * neg, read off in integers
+                v = neg * a.numerator * (scale // a.denominator)
                 row[self.plus_col[j]] = v
                 mc = self.minus_col[j]
                 if mc is not None:
@@ -305,7 +304,7 @@ class _Canonical:
                 sign = (1 if rel == LE else -1) * neg
                 row[slack_col[i]] = sign
                 slack_sign.append(sign)
-            row.append(int(b * scale))
+            row.append(neg * b.numerator * (scale // b.denominator))
             int_rows.append(row)
 
         # Artificials for rows without a +1 slack to start from.
@@ -343,7 +342,7 @@ class _Canonical:
         self.obj_scale = lcm(*(c.denominator for c in lp.objective), 1)
         cost2 = [0] * (self.n_total + 1)
         for j, c in enumerate(lp.objective):
-            v = int(c * self.obj_scale) * self.sense_sign
+            v = c.numerator * (self.obj_scale // c.denominator) * self.sense_sign
             cost2[self.plus_col[j]] = v
             mc = self.minus_col[j]
             if mc is not None:
@@ -458,18 +457,23 @@ def dual_of(lp: LinearProgram) -> tuple[LinearProgram, tuple[int, ...]]:
             doms.append(NONNEG)
         else:
             flips.append(-1)
-            rows.append(tuple(-a for a in lp.rows[i]))
+            rows.append(tuple(-a if a else a for a in lp.rows[i]))
             rhs.append(-lp.rhs[i])
             doms.append(NONNEG)
 
     dual_sense = MIN if lp.sense == MAX else MAX
     dual_rel = GE if lp.sense == MAX else LE
-    dual_rows = []
-    for j in range(n):
-        col = tuple(rows[i][j] for i in range(m))
-        rel = EQ if lp.domains[j] == FREE else dual_rel
-        dual_rows.append((col, rel, lp.objective[j]))
-    dual = linear_program(dual_sense, rhs, dual_rows, doms)
+    if m == 0:
+        raise InputError("a linear program needs at least one variable")
+    # the entries were validated when lp was built; transpose them as they are
+    dual = LinearProgram(
+        dual_sense,
+        tuple(rhs),
+        tuple(zip(*rows)),
+        tuple(EQ if d == FREE else dual_rel for d in lp.domains),
+        lp.objective,
+        tuple(doms),
+    )
     return dual, tuple(flips)
 
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Callable
+from math import factorial, lcm
+from typing import Callable, NamedTuple
 
 from .errors import InputError, SizeError
 from .game import Allocation, Coalition, SingleMarketGame
@@ -26,10 +26,6 @@ class ShapleyWeights:
 
     def of_size(self, t: int) -> Fraction:
         return self.beta[t - 1]
-
-    @staticmethod
-    def binom(k: int, l: int) -> int:
-        return comb(k, l)
 
 
 @lru_cache(maxsize=None)
@@ -64,63 +60,100 @@ def marginal_contribution(g: SingleMarketGame, coalition: Coalition, i: int) -> 
     return lam_rest * (g.alpha[i - 1] - g.alpha[h - 1]) + g.share[i - 1] * g.alpha[i - 1]
 
 
+class _OrderingSums(NamedTuple):
+    """The inner ordering sums of the closed form, over one denominator.
+
+    over[h] / den = sum_l C(n-h, l) beta_{l+2}, under[h] / den =
+    sum_l C(n-h-1, l) beta_{l+2} and third[h] / den = sum_l C(n-h-1, l)
+    beta_{l+3}, indexed by the weaker pivot h (entry 0 unused); over and
+    third are only consulted for h >= 2 and stay 0 at h = 1, where they
+    would index beta past n.  den is a multiple of n.
+    """
+
+    den: int
+    over: tuple[int, ...]
+    under: tuple[int, ...]
+    third: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _ordering_sums(n: int) -> _OrderingSums:
+    # beta_t = integral_0^1 p^(t-1) (1-p)^(n-t) dp, so by the binomial theorem
+    # sum_l C(m, l) beta_{l+k} = integral p^(k-1) (1-p)^(n-k-m) dp
+    #                          = (k-1)! (n-k-m)! / (n-m)!,
+    # which gives over = 1/(h(h-1)), under = 1/(h(h+1)) and
+    # third = 2/((h-1)h(h+1)); the sums are empty (0) at h = n for the
+    # last two.  Tests check these against the binomial sums themselves.
+    over = [_ZERO] * (n + 1)
+    under = [_ZERO] * (n + 1)
+    third = [_ZERO] * (n + 1)
+    for h in range(1, n + 1):
+        if h >= 2:
+            over[h] = Fraction(1, h * (h - 1))
+        if h < n:
+            under[h] = Fraction(1, h * (h + 1))
+        if 2 <= h < n:
+            third[h] = Fraction(2, (h - 1) * h * (h + 1))
+    den = lcm(n, *(v.denominator for v in over + under + third))
+
+    def scaled(values):
+        return tuple(v.numerator * (den // v.denominator) for v in values)
+
+    return _OrderingSums(den, scaled(over), scaled(under), scaled(third))
+
+
 def shapley_single_market(g: SingleMarketGame) -> Allocation:
     """Closed-form Shapley value, evaluated block by block.
 
     Kept as four additive blocks (stronger players' margins, the lone
     term, own-margin over weaker minima, and the upgrade block) so that
     any transcription slip surfaces against the subset oracle rather
-    than hiding in a hand simplification.
+    than hiding in a hand simplification.  Each block is a prefix or
+    suffix sum over the pivot h, so one game costs O(n) integer
+    operations once the ordering sums for its n (also O(n)) are cached:
+
+        stronger_i = share_i * sum_{h<i} alpha_h * under_h
+        lone_i     = alpha_i * share_i / n
+        own_i      = alpha_i * share_i * sum_{h>i} over_h
+        upgrade_i  = alpha_i * sum_{h>i} c_h - sum_{h>i} alpha_h * c_h,
+                     c_h = share_h * over_h + tail_h * third_h,
+
+    where tail_h is the total share of the players after h.  Every value
+    is a numerator over alpha_den * share_den * sums.den.
     """
     n = g.n
-    weights = shapley_weights(n)
-    beta = weights.of_size
-    alpha, lam = g.alpha, g.share
+    sums = _ordering_sums(n)
+    form = g.integer_form
+    alpha, lam = form.alpha, form.share
+    one_nth = sums.den // n
 
-    # inner ordering sums reused across players; indexed by the weaker
-    # pivot h, which the blocks below only consult for h >= 2 (the
-    # h = 1 entries would index beta past n)
-    over = [_ZERO] * (n + 2)  # sum_l C(n-h, l) beta_{l+2}
-    under = [_ZERO] * (n + 2)  # sum_l C(n-h-1, l) beta_{l+2}
-    third = [_ZERO] * (n + 2)  # sum_l C(n-h-1, l) beta_{l+3}
-    for h in range(1, n + 1):
-        under[h] = sum(
-            (comb(n - h - 1, l) * beta(l + 2) for l in range(n - h)), _ZERO
-        )
-        if h >= 2:
-            over[h] = sum(
-                (comb(n - h, l) * beta(l + 2) for l in range(n - h + 1)), _ZERO
-            )
-            third[h] = sum(
-                (comb(n - h - 1, l) * beta(l + 3) for l in range(n - h)), _ZERO
-            )
-    tail = [_ZERO] * (n + 2)  # sum of shares of players after h
-    for h in range(n - 1, 0, -1):
-        tail[h] = tail[h + 1] + lam[h]
+    under_prefix = [0] * n  # under_prefix[i-1] = sum_{h<i} alpha_h * under_h
+    for h in range(1, n):
+        under_prefix[h] = under_prefix[h - 1] + alpha[h - 1] * sums.under[h]
+    # the suffix sums over the pivots h > i fill as i runs from n down to 1
+    values = [0] * n
+    tail = over_sum = c_sum = ac_sum = 0
+    for i in range(n, 0, -1):
+        a, s = alpha[i - 1], lam[i - 1]
+        stronger = s * under_prefix[i - 1]
+        lone = a * s * one_nth
+        own = a * s * over_sum
+        upgrade = a * c_sum - ac_sum
+        values[i - 1] = stronger + lone + own + upgrade
+        # fold pivot h = i into the suffix sums of the players before it
+        c = s * sums.over[i] + tail * sums.third[i]
+        over_sum += sums.over[i]
+        c_sum += c
+        ac_sum += a * c
+        tail += s
 
-    values = []
-    for i in range(1, n + 1):
-        stronger = lam[i - 1] * sum(
-            (alpha[h - 1] * under[h] for h in range(1, i)), _ZERO
-        )
-        lone = alpha[i - 1] * lam[i - 1] / n
-        own = alpha[i - 1] * lam[i - 1] * sum(
-            (over[h] for h in range(i + 1, n + 1)), _ZERO
-        )
-        upgrade = sum(
-            (
-                (alpha[i - 1] - alpha[h - 1])
-                * (lam[h - 1] * over[h] + tail[h] * third[h])
-                for h in range(i + 1, n + 1)
-            ),
-            _ZERO,
-        )
-        values.append(stronger + lone + own + upgrade)
-
+    scale = g.scale
+    den = form.den * sums.den * scale.denominator
+    out = [_ZERO] * n
+    for k, v in enumerate(values):
+        out[g.perm[k] - 1] = Fraction(v * scale.numerator, den)
     return Allocation(
-        g.to_original(values),
-        g.alpha[0] * g.scale,
-        method="shapley (closed form)",
+        tuple(out), g.alpha[0] * scale, method="shapley (closed form)"
     )
 
 

@@ -1,15 +1,21 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import MULTI_MARKET_FIXTURE, SINGLE_MARKET_FIXTURE
+from conftest import MULTI_MARKET_FIXTURE, SINGLE_MARKET_FIXTURE, random_uncapacitated
 from coopshare import (
+    Allocation,
     InputError,
+    core_check,
     dumps_instance,
     loads_instance,
     parse_instance,
+    to_single_market,
+    value_oracle,
 )
+from coopshare import cli as cli_module
 from coopshare.cli import main
 from coopshare.files import decimal_string
 
@@ -312,3 +318,87 @@ class TestCheckCommand:
         path.write_text('{"allocation": [2, 2, 2]}')
         report = run_json(capsys, "check", MM, str(path))
         assert report["in_core"] is True
+
+
+@pytest.fixture
+def value_calls(monkeypatch):
+    """Count the coalition values the CLI computes."""
+    calls = []
+    real = cli_module.value_general
+
+    def counted(inst, coalition, *args, **kwargs):
+        calls.append(coalition.mask)
+        return real(inst, coalition, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "value_general", counted)
+    return calls
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestOracleCalls:
+    CAPACITATED = {
+        "players": ["a", "b", "c", "d", "e"],
+        "markets": [{"name": "m1", "price": 9}, {"name": "m2", "price": 7}],
+        "cost": [[1, 2], [3, 1], [2, 4], [5, 2], [4, 3]],
+        "demand": [[2, 1], [1, 3], [2, 2], [0, 1], [3, 0]],
+        "capacity": [5, 4, 6, 2, 3],
+    }
+
+    @pytest.mark.parametrize("method", ["nucleolus", "shapley"])
+    def test_one_value_per_coalition(self, capsys, tmp_path, value_calls, method):
+        path = _write(tmp_path, self.CAPACITATED)
+        report = run_json(capsys, "allocate", path, "--method", method, "--oracle")
+        assert report["core"] is not None
+        assert len(value_calls) == 2**5 - 1
+        assert len(set(value_calls)) == 2**5 - 1
+
+    def test_single_market_shapley_values_no_coalition(self, capsys, tmp_path, value_calls):
+        n = 16
+        doc = {
+            "players": [f"p{i}" for i in range(n)],
+            "markets": [{"name": "m", "price": 50}],
+            "cost": [[10 + 3 * i] for i in range(n)],
+            "demand": [[1 + i % 4] for i in range(n)],
+            "capacity": ["inf"] * n,
+        }
+        report = run_json(capsys, "allocate", _write(tmp_path, doc), "--method", "shapley")
+        assert report["core"] in (True, False)
+        assert value_calls == []
+
+
+class TestCoreFlag:
+    def test_single_market_flag_matches_enumeration(self):
+        rng = random.Random(606)
+        verdicts = set()
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            inst = random_uncapacitated(rng, n, 1)
+            if sum(inst.demand[i][0] for i in range(n)) == 0:
+                continue
+            game = to_single_market(inst, 0)
+            oracle = value_oracle(inst)
+            total = game.alpha[0] * game.scale
+            if rng.random() < 0.5:  # near the proportional split, often in the core
+                x = [
+                    game.alpha[0] * inst.demand[i][0] + F(rng.randint(-1, 1), rng.randint(2, 6))
+                    for i in range(n - 1)
+                ]
+            else:
+                x = [F(rng.randint(-2, 9), rng.randint(1, 3)) for _ in range(n - 1)]
+            x.append(total - sum(x))
+            alloc = Allocation(tuple(x), total)
+            expected = core_check(oracle, x, n)
+            assert cli_module._core_flag(inst, game, alloc, oracle) == expected.in_core
+            result = cli_module._core_result(inst, game, x, oracle)
+            assert result.in_core == expected.in_core
+            if not result.in_core:
+                assert result.excess == expected.excess
+                members = result.violated.members()
+                assert sum(x[p - 1] for p in members) - oracle(result.violated) == result.excess
+            verdicts.add(expected.in_core)
+        assert verdicts == {True, False}

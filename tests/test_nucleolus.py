@@ -6,9 +6,11 @@ import pytest
 from conftest import random_single_market
 from coopshare import (
     Coalition,
+    min_excess,
     InputError,
     InternalError,
     Instance,
+    SchemeState,
     SizeError,
     core_check,
     normalize,
@@ -21,6 +23,7 @@ from coopshare import (
     value_oracle,
     value_single_market,
 )
+from coopshare import nucleolus as nucleolus_module
 from coopshare.nucleolus import FixedFamily, _MaskSpan, improving_direction
 from coopshare.ratlp import RowSpace
 
@@ -153,6 +156,27 @@ class TestPrimalDual:
                 eps = entry.epsilon
                 assert len(entry.family) > seen
                 seen = len(entry.family)
+
+
+class TestSchemeState:
+    def test_validate_checks_every_unfixed_player(self):
+        g = single_market([3, 2, 1, 1], [F(1, 4)] * 4)
+        state = SchemeState.start(g)
+        state.validate(g)
+        state.nums[1] += 1  # loosens N\{i} for every i other than 2
+        with pytest.raises(InternalError):
+            state.validate(g)
+        state.family = FixedFamily(Coalition.of([3, 4]), 4)
+        state.validate(g)  # only N\{2} is checked now, and it is still tight
+
+    def test_advance_moves_along_the_direction(self):
+        g = single_market([3, 2, 1, 1], [F(1, 4)] * 4)
+        state = SchemeState.start(g)
+        state.family = FixedFamily(Coalition.of([3]), 4)
+        state.advance(F(1, 7), improving_direction(state.family))
+        assert state.x == [F(3, 4) + F(2, 7), F(3, 4) - F(1, 7), F(3, 4), F(3, 4) - F(1, 7)]
+        assert state.epsilon == F(1, 7)
+        state.validate(g)
 
 
 class TestSeparate:
@@ -349,3 +373,117 @@ class TestMaskSpan:
                 assert ints.contains(mask) == fracs.contains(vec)
                 assert ints.add(mask) == fracs.add(vec)
             assert ints.rank == fracs.rank
+
+
+def reference_step_size(g, x, epsilon, family):
+    """The Fraction step size that re-sums each candidate, O(n^3) per call."""
+    n = g.n
+    fixed_mask = family.fixed.mask
+    budget = n - 1 - len(family.fixed)
+    best = None
+    for i in range(2, n + 1):
+        a = g.alpha[i - 1]
+        in_f = bool(fixed_mask >> (i - 1) & 1)
+        base = x[i - 1] - a * g.share[i - 1]
+        base_mask = 1 << (i - 1)
+        outside = []
+        for j in range(i + 1, n + 1):
+            w = x[j - 1] - a * g.share[j - 1]
+            if fixed_mask >> (j - 1) & 1:
+                if w < 0:
+                    base += w
+                    base_mask |= 1 << (j - 1)
+            else:
+                outside.append((w, j))
+        outside.sort()
+        for t in range(1, budget + 1):
+            take = t if in_f else t - 1
+            if take > len(outside):
+                break
+            total = base
+            mask = base_mask
+            for w, j in outside[:take]:
+                total += w
+                mask |= 1 << (j - 1)
+            lam = (total - epsilon) / (1 + t)
+            if best is None or lam < best[0]:
+                best = (lam, mask)
+    return best[0], Coalition(best[1])
+
+
+def tied_single_market(rng, n):
+    """Few distinct margins and shares, so weights and candidate steps tie."""
+    alpha = sorted((F(rng.choice([0, 1, 1, 3])) for _ in range(n)), reverse=True)
+    weights = [rng.choice([1, 1, 2]) for _ in range(n)]
+    total = sum(weights)
+    return single_market(alpha, [F(w, total) for w in weights])
+
+
+class TestIntegerStepSize:
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        """Route every step_size call of the primal-dual loop through a
+        comparison with the reference; counts the rounds compared."""
+        fast = nucleolus_module.step_size
+        rounds = []
+
+        def both(g, x, epsilon, family):
+            got = fast(g, x, epsilon, family)
+            assert got == reference_step_size(g, x, epsilon, family)
+            rounds.append(got[0])
+            return got
+
+        monkeypatch.setattr(nucleolus_module, "step_size", both)
+        return rounds
+
+    def test_matches_reference_every_round(self, compared):
+        rng = random.Random(314)
+        for _ in range(150):
+            g = random_single_market(rng, rng.randint(2, 14))
+            nucleolus_primal_dual(g)
+        assert len(compared) > 500
+
+    def test_matches_reference_on_planted_ties(self, compared):
+        rng = random.Random(2718)
+        for _ in range(150):
+            g = tied_single_market(rng, rng.randint(2, 14))
+            nucleolus_primal_dual(g)
+        assert compared.count(0) > 50  # zero steps: ties with the level
+
+    def test_matches_reference_on_uniform_games(self, compared):
+        for n in range(2, 12):
+            nucleolus_primal_dual(single_market([F(5, 2)] * n, [F(1, n)] * n))
+            nucleolus_primal_dual(single_market(range(n, 0, -1), [F(1, n)] * n))
+
+    def test_matches_reference_off_the_scheme_path(self):
+        # arbitrary points and families, not only those the scheme reaches
+        rng = random.Random(55)
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            g = random_single_market(rng, n)
+            fixed = rng.randrange(0, 1 << (n - 1)) << 1
+            if bin(fixed).count("1") == n - 1:
+                continue
+            x = [F(rng.randint(-3, 9), rng.randint(1, 4)) for _ in range(n)]
+            eps = F(rng.randint(-9, 2), rng.randint(1, 3))
+            family = FixedFamily(Coalition(fixed), n)
+            expected = reference_step_size(g, x, eps, family)
+            if expected[0] < 0:
+                with pytest.raises(InternalError):
+                    step_size(g, x, eps, family)
+            else:
+                assert step_size(g, x, eps, family) == expected
+
+    def test_large_game_is_efficient_and_in_core(self):
+        rng = random.Random(150)
+        n = 150
+        alpha = sorted(
+            (F(rng.randint(1000, 9999), 100) for _ in range(n)), reverse=True
+        )
+        weights = [rng.randint(0, 500) for _ in range(n)]
+        g = single_market(alpha, [F(w, sum(weights)) for w in weights])
+        trace = []
+        x = nucleolus_primal_dual(g, trace=trace).values
+        assert sum(x) == g.alpha[0]
+        assert min_excess(g, x)[1] >= 0
+        assert len(trace) <= n - 1

@@ -142,3 +142,78 @@ class TestBruteForce:
     def test_size_guard(self):
         with pytest.raises(SizeError):
             shapley_bruteforce(lambda s: F(0), 11)
+
+
+def reference_shapley(g):
+    """The four blocks summed pivot by pivot in Fractions, O(n^2) per game."""
+    n = g.n
+    beta = shapley_weights(n).of_size
+    alpha, lam = g.alpha, g.share
+    zero = F(0)
+    over = [zero] * (n + 2)
+    under = [zero] * (n + 2)
+    third = [zero] * (n + 2)
+    for h in range(1, n + 1):
+        under[h] = sum((comb(n - h - 1, l) * beta(l + 2) for l in range(n - h)), zero)
+        if h >= 2:
+            over[h] = sum((comb(n - h, l) * beta(l + 2) for l in range(n - h + 1)), zero)
+            third[h] = sum((comb(n - h - 1, l) * beta(l + 3) for l in range(n - h)), zero)
+    tail = [zero] * (n + 2)
+    for h in range(n - 1, 0, -1):
+        tail[h] = tail[h + 1] + lam[h]
+    values = []
+    for i in range(1, n + 1):
+        stronger = lam[i - 1] * sum((alpha[h - 1] * under[h] for h in range(1, i)), zero)
+        lone = alpha[i - 1] * lam[i - 1] / n
+        own = alpha[i - 1] * lam[i - 1] * sum((over[h] for h in range(i + 1, n + 1)), zero)
+        upgrade = sum(
+            (
+                (alpha[i - 1] - alpha[h - 1]) * (lam[h - 1] * over[h] + tail[h] * third[h])
+                for h in range(i + 1, n + 1)
+            ),
+            zero,
+        )
+        values.append(stronger + lone + own + upgrade)
+    return g.to_original(values)
+
+
+class TestPrefixSums:
+    def test_ordering_sums_match_binomial_definitions(self):
+        from coopshare.shapley import _ordering_sums
+
+        for n in range(1, 41):
+            beta = shapley_weights(n).of_size
+            sums = _ordering_sums(n)
+            for h in range(1, n + 1):
+                under = sum((comb(n - h - 1, l) * beta(l + 2) for l in range(n - h)), F(0))
+                assert F(sums.under[h], sums.den) == under
+                if h >= 2:
+                    over = sum((comb(n - h, l) * beta(l + 2) for l in range(n - h + 1)), F(0))
+                    third = sum((comb(n - h - 1, l) * beta(l + 3) for l in range(n - h)), F(0))
+                    assert F(sums.over[h], sums.den) == over
+                    assert F(sums.third[h], sums.den) == third
+            assert sums.den % n == 0
+
+    def test_matches_reference_beyond_the_oracle(self):
+        # the subset oracle stops at n = 10; the pivot-by-pivot sums do not
+        rng = random.Random(404)
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            g = random_single_market(rng, n)
+            g = single_market(g.alpha, g.share, scale=F(rng.randint(1, 9), rng.randint(1, 4)))
+            assert shapley_single_market(g).values == reference_shapley(g)
+
+    def test_matches_reference_in_original_order(self):
+        from coopshare import Instance, normalize, to_single_market
+
+        rng = random.Random(405)
+        for _ in range(20):
+            n = rng.randint(2, 25)
+            inst = normalize(Instance(
+                tuple(f"p{i}" for i in range(n)), ("m",), (F(100),),
+                tuple((F(rng.randint(1000, 9999), 100),) for _ in range(n)),
+                tuple((F(rng.randint(1, 500)),) for _ in range(n)),
+                (None,) * n,
+            ))
+            g = to_single_market(inst, 0)
+            assert shapley_single_market(g).values == reference_shapley(g)
