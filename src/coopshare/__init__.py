@@ -51,7 +51,6 @@ from .nucleolus import (
 from .ratlp import (
     LinearProgram,
     LpResult,
-    Rational,
     dual_of,
     linear_program,
     rat,

@@ -24,10 +24,15 @@ from .game import (
     SingleMarketGame,
     core_check,
     normalize,
-    to_single_market,
     value_general,
 )
-from .multimarket import core_point, decompose, shapley_multimarket, sum_of_nucleoli
+from .multimarket import (
+    MarketDecomposition,
+    core_point,
+    decompose,
+    shapley_multimarket,
+    sum_of_nucleoli,
+)
 from .nucleolus import nucleolus_bruteforce, nucleolus_primal_dual
 from .shapley import shapley_bruteforce
 
@@ -96,13 +101,6 @@ def _parse_coalition(spec: str, inst: NormalizedInstance) -> Coalition:
     return Coalition.of(players)
 
 
-def _effective_markets(inst: NormalizedInstance) -> list[int]:
-    return [
-        j for j in range(inst.m)
-        if any(inst.demand[i][j] != 0 for i in range(inst.n))
-    ]
-
-
 def _cached_oracle(inst: NormalizedInstance):
     @lru_cache(maxsize=None)
     def by_mask(mask: int) -> Fraction:
@@ -111,12 +109,11 @@ def _cached_oracle(inst: NormalizedInstance):
     return lambda coalition: by_mask(coalition.mask)
 
 
-def _single_game(inst: NormalizedInstance) -> Optional[SingleMarketGame]:
-    """The canonical game of an uncapacitated instance with one effective
-    market, or None."""
-    markets = _effective_markets(inst)
-    if inst.uncapacitated and len(markets) == 1:
-        return to_single_market(inst, markets[0])
+def _single_game(dec: Optional[MarketDecomposition]) -> Optional[SingleMarketGame]:
+    """The game of a decomposition with one effective market, or None;
+    `dec` is None for a capacitated instance."""
+    if dec is not None and len(dec.games) == 1:
+        return dec.games[0]
     return None
 
 
@@ -178,15 +175,16 @@ def cmd_value(args) -> dict:
 
 def cmd_allocate(args) -> dict:
     inst = normalize(parse_instance(args.instance))
-    game = _single_game(inst)
+    dec = decompose(inst) if inst.uncapacitated else None
+    game = _single_game(dec)
+    if args.trace and (args.method != "nucleolus" or args.oracle or game is None):
+        raise InputError(
+            "--trace needs the fast nucleolus on a single-market instance"
+        )
     oracle = _cached_oracle(inst)
     trace_steps = None
 
     if args.method == "nucleolus":
-        if args.trace and not (game is not None and not args.oracle):
-            raise InputError(
-                "--trace needs the fast nucleolus on a single-market instance"
-            )
         if args.oracle:
             alloc = nucleolus_bruteforce(oracle, inst.n)
         elif game is not None:
@@ -198,12 +196,8 @@ def cmd_allocate(args) -> dict:
                 "use --oracle (n <= 12) or --method sum-nucleoli"
             )
     elif args.method == "shapley":
-        if args.trace:
-            raise InputError(
-                "--trace needs the fast nucleolus on a single-market instance"
-            )
-        if inst.uncapacitated:
-            alloc = shapley_multimarket(decompose(inst))
+        if dec is not None:
+            alloc = shapley_multimarket(dec)
         elif args.oracle:
             alloc = shapley_bruteforce(oracle, inst.n)
         else:
@@ -212,11 +206,8 @@ def cmd_allocate(args) -> dict:
                 "use --oracle (n <= 10)"
             )
     else:
-        if args.trace:
-            raise InputError(
-                "--trace needs the fast nucleolus on a single-market instance"
-            )
-        dec = decompose(inst)  # raises for finite capacities
+        if dec is None:
+            decompose(inst)  # raises for finite capacities
         alloc = sum_of_nucleoli(dec) if args.method == "sum-nucleoli" else core_point(dec)
 
     report = {
@@ -253,7 +244,8 @@ def cmd_check(args) -> dict:
             f"allocation sums to {sum(values)} but the grand coalition is "
             f"worth {total}; core membership needs exact efficiency"
         )
-    result = _core_result(inst, _single_game(inst), values, oracle)
+    dec = decompose(inst) if inst.uncapacitated else None
+    result = _core_result(inst, _single_game(dec), values, oracle)
 
     report = {"command": "check", "in_core": result.in_core}
     if not result.in_core:

@@ -1,9 +1,9 @@
 """Instance and allocation documents: strict JSON with exact rationals.
 
-Numbers are integer literals or "p/q" strings; float literals are
-rejected so the exactness contract reaches the I/O boundary.  Decimal
-strings produced for reports are renderings only and never feed back
-into computation.
+Numbers are integer literals or "p/q" strings, both read by `rat`;
+float literals are rejected so the exactness contract reaches the I/O
+boundary.  Decimal strings produced for reports are renderings only and
+never feed back into computation.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _capacity(value, where: str) -> Optional[Fraction]:
 
 def loads_instance(text: str) -> Instance:
     try:
-        doc = json.loads(text, parse_float=_reject_float)
+        doc = json.loads(text, parse_float=_reject_float, parse_int=rat)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed instance document: {exc}") from None
     if not isinstance(doc, dict):
@@ -59,6 +59,8 @@ def loads_instance(text: str) -> Instance:
     for j, entry in enumerate(doc["markets"]):
         if not isinstance(entry, dict) or "name" not in entry or "price" not in entry:
             raise InputError(f"markets[{j}] must be an object with name and price")
+        if not isinstance(entry["name"], str):
+            raise InputError(f"markets[{j}].name must be a string")
         markets.append(entry["name"])
         price.append(_number(entry["price"], f"markets[{j}].price"))
     if len(set(markets)) != len(markets):
@@ -123,7 +125,7 @@ def parse_allocation(path: str, players: Sequence[str]) -> tuple[Fraction, ...]:
     """Read {"allocation": {...}} keyed by player name, or a plain list."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=_reject_float)
+            doc = json.load(fh, parse_float=_reject_float, parse_int=rat)
     except OSError as exc:
         raise InputError(f"cannot read allocation file: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -21,7 +21,7 @@ from .errors import (
     InternalError,
     SizeError,
 )
-from .ratlp import EQ, LE, OPTIMAL, linear_program, rat, solve_lp
+from .ratlp import EQ, LE, MAX, NONNEG, OPTIMAL, LinearProgram, rat, solve_lp
 
 ENUMERATION_LIMIT = 20  # 2^n coalition scans are desk-scale tools only
 
@@ -97,6 +97,33 @@ def _matrix(values, n: int, m: int, what: str) -> tuple[tuple[Fraction, ...], ..
     return rows
 
 
+def _demand_and_capacity(
+    demand, capacity, n: int, m: int
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Optional[Fraction], ...]]:
+    """The checked demand matrix and capacities of an n x m instance.
+
+    Demands are nonnegative and every finite capacity covers the
+    player's own total demand.
+    """
+    demand = _matrix(demand, n, m, "demand")
+    caps = tuple(None if q is None else rat(q) for q in capacity)
+    if len(caps) != n:
+        raise InputError(f"capacity must list {n} values")
+    for i in range(n):
+        for j in range(m):
+            if demand[i][j] < 0:
+                raise InputError(
+                    f"demand[{i + 1}][{j + 1}] is negative: {demand[i][j]}"
+                )
+        own = sum(demand[i])
+        if caps[i] is not None and caps[i] < own:
+            raise InputError(
+                f"capacity[{i + 1}] = {caps[i]} cannot serve the player's "
+                f"own demand {own}"
+            )
+    return demand, caps
+
+
 @dataclass(frozen=True)
 class Instance:
     """Raw multi-market data: prices, unit costs, owned demands, capacities.
@@ -119,24 +146,10 @@ class Instance:
         if len(self.price) != m:
             raise InputError(f"price must list {m} values")
         object.__setattr__(self, "cost", _matrix(self.cost, n, m, "cost"))
-        object.__setattr__(self, "demand", _matrix(self.demand, n, m, "demand"))
+        demand, caps = _demand_and_capacity(self.demand, self.capacity, n, m)
+        object.__setattr__(self, "demand", demand)
         object.__setattr__(self, "price", tuple(rat(v) for v in self.price))
-        caps = tuple(None if q is None else rat(q) for q in self.capacity)
         object.__setattr__(self, "capacity", caps)
-        if len(caps) != n:
-            raise InputError(f"capacity must list {n} values")
-        for i in range(n):
-            for j in range(m):
-                if self.demand[i][j] < 0:
-                    raise InputError(
-                        f"demand[{i + 1}][{j + 1}] is negative: {self.demand[i][j]}"
-                    )
-            own = sum(self.demand[i])
-            if caps[i] is not None and caps[i] < own:
-                raise InputError(
-                    f"capacity[{i + 1}] = {caps[i]} cannot serve the player's "
-                    f"own demand {own}"
-                )
 
     @property
     def n(self) -> int:
@@ -163,28 +176,17 @@ class NormalizedInstance:
 
     def __post_init__(self):
         n, m = len(self.players), len(self.markets)
-        object.__setattr__(self, "profit", _matrix(self.profit, n, m, "profit"))
-        object.__setattr__(self, "demand", _matrix(self.demand, n, m, "demand"))
-        caps = tuple(None if q is None else rat(q) for q in self.capacity)
-        object.__setattr__(self, "capacity", caps)
-        if len(caps) != n:
-            raise InputError(f"capacity must list {n} values")
+        profit = _matrix(self.profit, n, m, "profit")
         for i in range(n):
             for j in range(m):
-                if self.profit[i][j] < 0:
+                if profit[i][j] < 0:
                     raise InputError(
-                        f"profit[{i + 1}][{j + 1}] is negative: {self.profit[i][j]}"
+                        f"profit[{i + 1}][{j + 1}] is negative: {profit[i][j]}"
                     )
-                if self.demand[i][j] < 0:
-                    raise InputError(
-                        f"demand[{i + 1}][{j + 1}] is negative: {self.demand[i][j]}"
-                    )
-            own = sum(self.demand[i])
-            if caps[i] is not None and caps[i] < own:
-                raise InputError(
-                    f"capacity[{i + 1}] = {caps[i]} cannot serve the player's "
-                    f"own demand {own}"
-                )
+        demand, caps = _demand_and_capacity(self.demand, self.capacity, n, m)
+        object.__setattr__(self, "profit", profit)
+        object.__setattr__(self, "demand", demand)
+        object.__setattr__(self, "capacity", caps)
 
     @property
     def n(self) -> int:
@@ -396,29 +398,21 @@ def value_general(
 
     # LP over y[i][j] for coalition members: maximize profit, meet the
     # coalition's pooled demand per market, respect capacities.
-    var_of = {}
-    for i in members:
-        for j in range(inst.m):
-            var_of[(i, j)] = len(var_of)
-    nv = len(var_of)
-    objective = [Fraction(0)] * nv
-    for (i, j), k in var_of.items():
-        objective[k] = inst.profit[i - 1][j]
-    constraints = []
-    for j in range(inst.m):
-        row = [Fraction(0)] * nv
-        for i in members:
-            row[var_of[(i, j)]] = Fraction(1)
-        total = sum(inst.demand[i - 1][j] for i in members)
-        constraints.append((row, EQ, total))
-    for i in members:
-        if inst.capacity[i - 1] is None:
-            continue
-        row = [Fraction(0)] * nv
-        for j in range(inst.m):
-            row[var_of[(i, j)]] = Fraction(1)
-        constraints.append((row, LE, inst.capacity[i - 1]))
-    lp = linear_program("max", objective, constraints)
+    cells = [(i, j) for i in members for j in range(inst.m)]  # one per variable
+    capped = [i for i in members if inst.capacity[i - 1] is not None]
+    rows = [tuple(int(c == j) for _, c in cells) for j in range(inst.m)]
+    rows += [tuple(int(p == i) for p, _ in cells) for i in capped]
+    rhs = [sum(inst.demand[i - 1][j] for i in members) for j in range(inst.m)]
+    rhs += [inst.capacity[i - 1] for i in capped]
+    # the instance's entries are validated Fractions; build the program as is
+    lp = LinearProgram(
+        MAX,
+        tuple(inst.profit[i - 1][j] for i, j in cells),
+        tuple(rows),
+        (EQ,) * inst.m + (LE,) * len(capped),
+        tuple(rhs),
+        (NONNEG,) * len(cells),
+    )
     res = solve_lp(lp)
     if res.status != OPTIMAL:
         raise InternalError(
@@ -428,8 +422,8 @@ def value_general(
     if not want_plan:
         return res.value
     plan = [[Fraction(0)] * inst.m for _ in range(inst.n)]
-    for (i, j), k in var_of.items():
-        plan[i - 1][j] = res.x[k]
+    for (i, j), y in zip(cells, res.x):
+        plan[i - 1][j] = y
     return res.value, plan
 
 

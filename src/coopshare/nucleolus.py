@@ -41,7 +41,6 @@ from .ratlp import (
 BRUTE_FORCE_LIMIT = 12
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -293,8 +292,8 @@ def nucleolus_primal_dual(
 # ---------------------------------------------------------------------------
 
 
-def _chi(mask: int, n: int) -> tuple[Fraction, ...]:
-    return tuple(_ONE if mask >> k & 1 else _ZERO for k in range(n))
+def _chi(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(mask >> k & 1 for k in range(n))
 
 
 def separate(
@@ -383,26 +382,26 @@ def separate(
     return None
 
 
-def _point_lp(
+def _level_program(
     n: int,
-    pool: Sequence[int],
-    values: dict[int, Fraction],
-    fixed: Sequence[tuple[Coalition, Fraction]],
-):
-    rows, rels, rhs = [], [], []
-    for mask in pool:
-        rows.append(_chi(mask, n) + (Fraction(-1),))
-        rels.append(GE)
-        rhs.append(values[mask])
-    for coalition, value in fixed:
-        rows.append(_chi(coalition.mask, n) + (_ZERO,))
-        rels.append(EQ)
-        rhs.append(value)
-    objective = tuple([_ZERO] * n) + (_ONE,)
-    domains = tuple([FREE] * (n + 1))
-    return LinearProgram(
-        MAX, objective, tuple(rows), tuple(rels), tuple(rhs), domains
+    masks: Sequence[int],
+    values,
+    fixed_masks: Sequence[int],
+    fixed_rhs: Sequence[Fraction],
+) -> LinearProgram:
+    """max epsilon s.t. x(S) - epsilon >= v(S) for S in masks, x(T) = r_T for
+    the fixed coalitions; variables x_1..x_n, epsilon, all free.
+
+    `values[mask]` is v(S).  Both LP routes solve their levels through this
+    one program.
+    """
+    rows = tuple(_chi(m, n) + (-1,) for m in masks) + tuple(
+        _chi(m, n) + (0,) for m in fixed_masks
     )
+    rels = (GE,) * len(masks) + (EQ,) * len(fixed_masks)
+    rhs = tuple(values[m] for m in masks) + tuple(fixed_rhs)
+    objective = (0,) * n + (1,)
+    return LinearProgram(MAX, objective, rows, rels, rhs, (FREE,) * (n + 1))
 
 
 def nucleolus_separation(g: SingleMarketGame) -> Allocation:
@@ -417,7 +416,8 @@ def nucleolus_separation(g: SingleMarketGame) -> Allocation:
     full = (1 << n) - 1
     span = _MaskSpan(n)
     span.add(full)
-    fixed: list[tuple[Coalition, Fraction]] = [(Coalition(full), g.alpha[0])]
+    fixed_masks: list[int] = [full]
+    fixed_rhs: list[Fraction] = [g.alpha[0]]
     pool: list[int] = []
     values: dict[int, Fraction] = {}
     cut_guard = 2 << n
@@ -432,10 +432,11 @@ def nucleolus_separation(g: SingleMarketGame) -> Allocation:
             if m not in values:
                 values[m] = value_single_market(g, Coalition(m))
 
+        fixed = [(Coalition(m), r) for m, r in zip(fixed_masks, fixed_rhs)]
         while True:
             if len(pool) > cut_guard:
                 raise InternalError("cutting-plane pool grew past its guard")
-            res = solve_lp(_point_lp(n, pool, values, fixed))
+            res = solve_lp(_level_program(n, pool, values, fixed_masks, fixed_rhs))
             if res.status != OPTIMAL:
                 raise InternalError(f"level program ended {res.status}")
             point, level_value = res.x[:n], res.x[n]
@@ -456,12 +457,11 @@ def nucleolus_separation(g: SingleMarketGame) -> Allocation:
                 break
         if chosen is None:
             raise InternalError("no binding independent coalition to fix")
-        fixed.append((Coalition(chosen), values[chosen] + level_value))
+        fixed_masks.append(chosen)
+        fixed_rhs.append(values[chosen] + level_value)
         span.add(chosen)
 
-    rows = [_chi(c.mask, n) for c, _ in fixed]
-    rhs = [value for _, value in fixed]
-    xs = solve_linear_system(rows, rhs)
+    xs = solve_linear_system([_chi(m, n) for m in fixed_masks], fixed_rhs)
     return _canonical_allocation(g, xs, method)
 
 
@@ -571,7 +571,7 @@ class _FaceProber:
         lp = LinearProgram(
             MAX, objective, self.rows, self.rels, self.rhs, tuple([FREE] * self.n)
         )
-        res = solve_lp(lp, want_tight=False)
+        res = solve_lp(lp)
         if res.status != OPTIMAL:
             raise InternalError(f"face probe ended {res.status}")
         return res
@@ -627,20 +627,7 @@ def nucleolus_bruteforce(
             raise InternalError("sequential scheme exceeded its round bound")
         free = [m for m in free if not span.contains(m)]
 
-        rows = tuple(_chi(m, n) + (Fraction(-1),) for m in free) + tuple(
-            _chi(m, n) + (_ZERO,) for m in fixed_masks
-        )
-        rels = tuple([GE] * len(free) + [EQ] * len(fixed_masks))
-        rhs = tuple(vals[m] for m in free) + tuple(fixed_rhs)
-        lp = LinearProgram(
-            MAX,
-            tuple([_ZERO] * n) + (_ONE,),
-            rows,
-            rels,
-            tuple(rhs),
-            tuple([FREE] * (n + 1)),
-        )
-        res = solve_lp(lp, want_tight=False)
+        res = solve_lp(_level_program(n, free, vals, fixed_masks, fixed_rhs))
         if res.status != OPTIMAL:
             raise InternalError(f"level program ended {res.status}")
         xstar, level_value = res.x[:n], res.x[n]

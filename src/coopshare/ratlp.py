@@ -23,8 +23,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalError
 
-Rational = Fraction
-
 LE, EQ, GE = "<=", "=", ">="
 NONNEG, FREE = "nonneg", "free"
 MAX, MIN = "max", "min"
@@ -54,7 +52,12 @@ def rat(value) -> Fraction:
             raise InputError(
                 f"malformed rational {value!r}: expected 'p' or 'p/q' with q > 0"
             )
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ValueError:  # more digits than int() converts
+            raise InputError(
+                f"rational of {len(text)} characters is too long to read"
+            ) from None
     raise InputError(f"not a rational number: {value!r}")
 
 
@@ -62,8 +65,11 @@ def rat(value) -> Fraction:
 class LinearProgram:
     """A dense LP: optimize objective over rows `coeffs <rel> rhs`.
 
-    Variables are either nonnegative or free (`domains`); free variables
-    are split internally, callers never see the split.
+    Entries are exact rationals, either `int` or `Fraction`: programs the
+    package builds itself use integer 0/1 rows as they are, while
+    `linear_program` validates programs from outside input.  Variables
+    are either nonnegative or free (`domains`); free variables are split
+    internally, callers never see the split.
     """
 
     sense: str
@@ -338,6 +344,7 @@ class _Canonical:
 
         self.rows = int_rows
         self.basis0 = basis
+        self.slack_col = slack_col
 
         self.obj_scale = lcm(*(c.denominator for c in lp.objective), 1)
         cost2 = [0] * (self.n_total + 1)
@@ -358,14 +365,13 @@ class _Canonical:
         self.cost1 = cost1
 
 
-def _tight_rows(lp: LinearProgram, x: Sequence[Fraction]) -> tuple[bool, ...]:
-    return tuple(
-        sum(a * xi for a, xi in zip(lp.rows[i], x) if a) == lp.rhs[i]
-        for i in range(lp.num_rows)
-    )
+def _solve_primal(lp: LinearProgram) -> tuple[LpResult, tuple[bool, ...]]:
+    """Pivot on lp's own tableau.
 
-
-def _solve_primal(lp: LinearProgram, want_tight: bool = True) -> LpResult:
+    Also returns, for an optimal program, which variables end with zero
+    reduced cost: when lp is the dual of a program, those are exactly
+    the program's rows that are tight at the returned solution.
+    """
     can = _Canonical(lp)
     tab = _Tableau(can.rows, can.cost1, can.cost2, can.basis0)
     m = tab.m
@@ -375,7 +381,7 @@ def _solve_primal(lp: LinearProgram, want_tight: bool = True) -> LpResult:
     if status == UNBOUNDED:
         raise InternalError("phase-1 objective cannot be unbounded")
     if tab.mat[m][-1] != 0:
-        return LpResult(status=INFEASIBLE)
+        return LpResult(status=INFEASIBLE), ()
 
     # Drive basic artificials out; rows where that is impossible are
     # redundant and keep their artificial basic at level zero.
@@ -399,7 +405,7 @@ def _solve_primal(lp: LinearProgram, want_tight: bool = True) -> LpResult:
 
     status = tab.run(m + 1, can.n_with_slack)
     if status == UNBOUNDED:
-        return LpResult(status=UNBOUNDED)
+        return LpResult(status=UNBOUNDED), ()
 
     div = tab.div
     zvals: dict[int, Fraction] = {}
@@ -424,8 +430,10 @@ def _solve_primal(lp: LinearProgram, want_tight: bool = True) -> LpResult:
         y_int = Fraction(-cost_row[col], tau * div)
         duals.append(can.sense_sign * can.row_mult[i] * y_int / K)
 
-    tight = _tight_rows(lp, x) if want_tight else None
-    return LpResult(OPTIMAL, value, tuple(x), tuple(duals), tight)
+    # a row is tight iff it is an equality or its slack ends at zero
+    tight = tuple(col is None or not zvals.get(col) for col in can.slack_col)
+    priced_out = tuple(cost_row[col] == 0 for col in can.plus_col)
+    return LpResult(OPTIMAL, value, tuple(x), tuple(duals), tight), priced_out
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +485,13 @@ def dual_of(lp: LinearProgram) -> tuple[LinearProgram, tuple[int, ...]]:
     return dual, tuple(flips)
 
 
-def solve_lp(
-    lp: LinearProgram, orientation: str = "auto", want_tight: bool = True
-) -> LpResult:
+def solve_lp(lp: LinearProgram, orientation: str = "auto") -> LpResult:
     """Solve an LP exactly; deterministic for identical input.
 
     `orientation` picks the tableau the simplex pivots on: "primal",
     "dual", or "auto" (dual when constraints far outnumber variables).
-    Either orientation certifies the program as given.  `want_tight`
-    skips the per-row activity report when the caller has no use for it.
+    Either orientation certifies the program as given, and reads the
+    tight rows off its final tableau.
     """
     if not isinstance(lp, LinearProgram):
         raise InputError("solve_lp expects a LinearProgram")
@@ -496,19 +502,18 @@ def solve_lp(
         and lp.num_rows >= max(16, 2 * max(lp.num_vars, 1))
     )
     if not use_dual:
-        return _solve_primal(lp, want_tight)
+        return _solve_primal(lp)[0]
 
     dual, flips = dual_of(lp)
-    res = _solve_primal(dual, want_tight=False)
+    res, priced_out = _solve_primal(dual)
     if res.status == UNBOUNDED:
         return LpResult(status=INFEASIBLE)
     if res.status == INFEASIBLE:
         # primal is unbounded or infeasible; settle it directly
-        return _solve_primal(lp, want_tight)
-    x = res.duals
+        return _solve_primal(lp)[0]
+    # dual variable i's reduced cost is row i's slack at the returned x
     duals = tuple(f * y for f, y in zip(flips, res.x))
-    tight = _tight_rows(lp, x) if want_tight else None
-    return LpResult(OPTIMAL, res.value, x, duals, tight)
+    return LpResult(OPTIMAL, res.value, res.duals, duals, priced_out)
 
 
 # ---------------------------------------------------------------------------

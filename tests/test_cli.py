@@ -181,6 +181,20 @@ class TestAllocateCommand:
         )
         assert code == 2
 
+    def test_trace_rejected_on_oracle_route(self, capsys):
+        code, _, err = run(
+            capsys, "allocate", SM, "--method", "nucleolus", "--oracle", "--trace"
+        )
+        assert code == 2
+        assert "--trace needs the fast nucleolus" in err
+
+    def test_trace_rejected_for_sum_of_nucleoli(self, capsys):
+        code, _, err = run(
+            capsys, "allocate", SM, "--method", "sum-nucleoli", "--trace"
+        )
+        assert code == 2
+        assert "--trace needs the fast nucleolus" in err
+
     def test_size_guard_exit_code(self, capsys, tmp_path):
         n = 13
         doc = {
@@ -277,6 +291,55 @@ class TestAllocateCommand:
             capsys, "allocate", MM, "--method", "sum-nucleoli", "--precision", "2"
         )
         assert "(= 1.50)" in out
+
+
+HUGE = "7" * 5000  # past the interpreter's 4300-digit int conversion limit
+SMALL_INSTANCE = (
+    '{"players": ["a", "b"], "markets": [{"name": "m", "price": PRICE}],'
+    ' "cost": [[1], [2]], "demand": [[1], [1]], "capacity": ["inf", "inf"]}'
+)
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "name", ['["m"]', "7", "null"], ids=["list", "int", "null"]
+    )
+    def test_market_name_must_be_a_string(self, capsys, tmp_path, name):
+        path = tmp_path / "instance.json"
+        path.write_text(SMALL_INSTANCE.replace('"m"', name).replace("PRICE", "3"))
+        code, _, err = run(capsys, "value", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "name must be a string" in err
+
+    @pytest.mark.parametrize(
+        "price",
+        [HUGE, f'"{HUGE}/3"', f'"3/{HUGE}"'],
+        ids=["int", "numerator", "denominator"],
+    )
+    def test_huge_number_in_instance(self, capsys, tmp_path, price):
+        path = tmp_path / "instance.json"
+        path.write_text(SMALL_INSTANCE.replace("PRICE", price))
+        for argv in (("value",), ("allocate", "--method", "shapley")):
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "too long" in err
+
+    @pytest.mark.parametrize(
+        "share",
+        [HUGE, f'"{HUGE}"', f'"1/{HUGE}"'],
+        ids=["int", "string", "denominator"],
+    )
+    def test_huge_number_in_allocation(self, capsys, tmp_path, share):
+        instance = tmp_path / "instance.json"
+        instance.write_text(SMALL_INSTANCE.replace("PRICE", "3"))
+        for doc in ('{"allocation": {"a": SHARE, "b": 0}}', "[SHARE, 0]"):
+            alloc = tmp_path / "alloc.json"
+            alloc.write_text(doc.replace("SHARE", share))
+            code, out, err = run(capsys, "check", str(instance), str(alloc))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "too long" in err
 
 
 class TestCheckCommand:

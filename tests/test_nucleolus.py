@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_single_market
+from conftest import assert_optimal_certificate, random_single_market
 from coopshare import (
     Coalition,
     min_excess,
@@ -19,6 +19,7 @@ from coopshare import (
     nucleolus_separation,
     separate,
     single_market,
+    solve_lp,
     step_size,
     value_oracle,
     value_single_market,
@@ -251,6 +252,35 @@ class TestSeparationScheme:
         ]:
             g = single_market(alpha, share)
             assert nucleolus_separation(g) == nucleolus_primal_dual(g)
+
+
+class TestLevelProgramCertificates:
+    def test_both_orientations_certify_the_routes_programs(self, monkeypatch):
+        # level programs are degenerate, with many rows and only free
+        # variables; the separation route reads res.tight off them
+        programs = []
+        real = nucleolus_module._level_program
+
+        def recorded(*args):
+            lp = real(*args)
+            programs.append(lp)
+            return lp
+
+        monkeypatch.setattr(nucleolus_module, "_level_program", recorded)
+        rng = random.Random(2604)
+        for n in range(4, 8):
+            g = random_single_market(rng, n)
+            for route in (
+                lambda: nucleolus_separation(g),
+                lambda: nucleolus_bruteforce(oracle_of(g), n),
+            ):
+                before = len(programs)
+                route()
+                assert len(programs) > before
+        for lp in programs:
+            for orientation in ("primal", "dual"):
+                res = solve_lp(lp, orientation=orientation)
+                assert_optimal_certificate(lp, res)
 
 
 class TestBruteForce:
