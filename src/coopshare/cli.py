@@ -10,11 +10,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .errors import InputError, InternalError, SizeError
-from .files import decimal_string, parse_allocation, parse_instance
+from .files import decimal_string, exact_string, parse_allocation, parse_instance
 from .game import (
     ENUMERATION_LIMIT,
     Allocation,
@@ -25,6 +24,7 @@ from .game import (
     core_check,
     normalize,
     value_general,
+    value_oracle,
 )
 from .multimarket import (
     MarketDecomposition,
@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _fmt(value: Fraction, args) -> dict:
-    out = {"exact": str(value)}
+    out = {"exact": exact_string(value)}
     if not args.exact:
         out["decimal"] = decimal_string(value, args.precision)
     return out
@@ -99,14 +99,6 @@ def _parse_coalition(spec: str, inst: NormalizedInstance) -> Coalition:
             )
         players.append(index[name])
     return Coalition.of(players)
-
-
-def _cached_oracle(inst: NormalizedInstance):
-    @lru_cache(maxsize=None)
-    def by_mask(mask: int) -> Fraction:
-        return value_general(inst, Coalition(mask))
-
-    return lambda coalition: by_mask(coalition.mask)
 
 
 def _single_game(dec: Optional[MarketDecomposition]) -> Optional[SingleMarketGame]:
@@ -181,7 +173,7 @@ def cmd_allocate(args) -> dict:
         raise InputError(
             "--trace needs the fast nucleolus on a single-market instance"
         )
-    oracle = _cached_oracle(inst)
+    oracle = value_oracle(inst)
     trace_steps = None
 
     if args.method == "nucleolus":
@@ -224,8 +216,8 @@ def cmd_allocate(args) -> dict:
         report["trace"] = [
             {
                 "round": step.level,
-                "step": str(step.step),
-                "epsilon": str(step.epsilon),
+                "step": exact_string(step.step),
+                "epsilon": exact_string(step.epsilon),
                 "fixed": [inst.players[p - 1] for p in step.fixed.members()],
                 "family": [inst.players[p - 1] for p in step.family.members()],
             }
@@ -237,12 +229,13 @@ def cmd_allocate(args) -> dict:
 def cmd_check(args) -> dict:
     inst = normalize(parse_instance(args.instance))
     values = parse_allocation(args.allocation, inst.players)
-    oracle = _cached_oracle(inst)
+    oracle = value_oracle(inst)
     total = oracle(Coalition.full(inst.n))
     if sum(values) != total:
         raise InputError(
-            f"allocation sums to {sum(values)} but the grand coalition is "
-            f"worth {total}; core membership needs exact efficiency"
+            f"allocation sums to {exact_string(sum(values))} but the grand "
+            f"coalition is worth {exact_string(total)}; core membership needs "
+            "exact efficiency"
         )
     dec = decompose(inst) if inst.uncapacitated else None
     result = _core_result(inst, _single_game(dec), values, oracle)

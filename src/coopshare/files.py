@@ -9,6 +9,7 @@ never feed back into computation.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -150,17 +151,35 @@ def parse_allocation(path: str, players: Sequence[str]) -> tuple[Fraction, ...]:
     raise InputError("allocation document must be a mapping or a list")
 
 
+def exact_string(value) -> str:
+    """str() of an int or Fraction for a report.
+
+    A number past the interpreter's int-to-string digit limit is an
+    InputError, not a ValueError; the limit itself is left as it is.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise InputError(
+            "a reported number has more digits than the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()}"
+        ) from None
+
+
 def decimal_string(value: Fraction, digits: int) -> str:
     """Exact half-up decimal rendering with a fixed digit count."""
     if digits < 0:
         raise InputError("precision must be nonnegative")
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise InputError(f"precision must be at most {limit}")
     sign = "-" if value < 0 else ""
     num, den = abs(value.numerator), value.denominator
     scaled = num * 10**digits
     q, r = divmod(scaled, den)
     if 2 * r >= den:
         q += 1
-    text = str(q).rjust(digits + 1, "0")
+    text = exact_string(q).rjust(digits + 1, "0")
     if digits == 0:
         return sign + text
     return f"{sign}{text[:-digits]}.{text[-digits:]}"

@@ -358,10 +358,16 @@ def value_single_market(g: SingleMarketGame, coalition: Coalition) -> Fraction:
 
 
 def value_oracle(inst: NormalizedInstance) -> Callable[[Coalition], Fraction]:
-    """Characteristic function of the full game, in original units."""
+    """Characteristic function of the full game, in original units.
+
+    Each coalition is valued once per oracle; repeats are read back by mask.
+    """
+    values: dict[int, Fraction] = {}
 
     def v(coalition: Coalition) -> Fraction:
-        return value_general(inst, coalition)
+        if coalition.mask not in values:
+            values[coalition.mask] = value_general(inst, coalition)
+        return values[coalition.mask]
 
     return v
 

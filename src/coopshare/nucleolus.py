@@ -6,11 +6,16 @@
   n - 1 rounds, no LP solves.
 * `nucleolus_separation` — cutting-plane variant: each lexicographic
   level is solved as a small LP with violated coalitions generated by
-  the polynomial `separate` oracle, then one binding coalition (nonzero
-  multiplier, linearly independent of the already-fixed ones) is fixed.
+  the polynomial `separate` oracle.
 * `nucleolus_bruteforce` — the sequential-LP scheme with every
   coalition constraint materialized; works for any characteristic
   function given as an oracle.  Exponential; guarded at n <= 12.
+
+Both LP routes run one level loop, `_sequential_lp`, and differ only in
+the rows it starts from and whether cuts are added.  At each level every
+binding coalition (negative multiplier, linearly independent of the
+already-fixed ones) is fixed, so at most n - 1 level programs are solved
+per game, plus the re-solves after cuts.
 
 All three agree exactly; the brute-force route is the ground truth the
 fast routes are tested against.
@@ -77,7 +82,6 @@ class ImprovingDirection:
     other unfixed players, 0 on fixed ones; preserves efficiency."""
 
     delta: tuple[int, ...]
-    step: int = 1
 
     def __post_init__(self):
         if sum(self.delta) != 0:
@@ -131,12 +135,12 @@ class SchemeState:
         return Fraction(self.eps, self.den)
 
     def advance(self, lam: Fraction, direction: ImprovingDirection) -> None:
-        """Move x by lam * delta and epsilon by lam * step."""
+        """Move x by lam * delta and epsilon by lam."""
         den = lcm(self.den, lam.denominator)
         up = den // self.den
         step = lam.numerator * (den // lam.denominator)
         self.nums = [v * up + step * d for v, d in zip(self.nums, direction.delta)]
-        self.eps = self.eps * up + step * direction.step
+        self.eps = self.eps * up + step
         self.den = den
 
     def validate(self, g: SingleMarketGame) -> None:
@@ -404,81 +408,95 @@ def _level_program(
     return LinearProgram(MAX, objective, rows, rels, rhs, (FREE,) * (n + 1))
 
 
-def nucleolus_separation(g: SingleMarketGame) -> Allocation:
-    """Nucleolus via lexicographic levels solved by cutting planes.
+def _sequential_lp(
+    n: int,
+    value: Callable[[int], Fraction],
+    rows: Sequence[int],
+    cut: Optional[Callable[..., Optional[int]]] = None,
+) -> tuple[Fraction, ...]:
+    """The sequential-LP loop both LP routes run; returns the nucleolus.
 
-    Produces exactly the same allocation as the primal-dual route.
+    `value(mask)` is v(S) and `rows` are the coalitions the level programs
+    start from.  When given, `cut(x, epsilon, fixed_masks, fixed_rhs)`
+    returns a coalition violated at the level optimum, or None; the level
+    is re-solved with each cut added.
+
+    Every row with a negative multiplier is tight on the whole optimal
+    face (complementary slackness), so each one outside the span of the
+    fixed rows is fixed at v(S) + epsilon_k.  The multipliers on the
+    epsilon column sum to -1, so some row is fixed at every level and the
+    rank grows: at most n - 1 levels.
     """
-    n = g.n
-    method = "nucleolus (separation)"
-    if n == 1:
-        return _canonical_allocation(g, (g.alpha[0],), method)
     full = (1 << n) - 1
+    values = {m: value(m) for m in (full, *rows)}
     span = _MaskSpan(n)
     span.add(full)
     fixed_masks: list[int] = [full]
-    fixed_rhs: list[Fraction] = [g.alpha[0]]
-    pool: list[int] = []
-    values: dict[int, Fraction] = {}
+    fixed_rhs: list[Fraction] = [values[full]]
+    pool = list(rows)
     cut_guard = 2 << n
+    rounds = 0
 
     while span.rank < n:
+        rounds += 1
+        if rounds > n:
+            raise InternalError("sequential scheme exceeded its round bound")
         pool = [m for m in pool if not span.contains(m)]
-        for k in range(n):
-            m = 1 << k
-            if m not in pool and not span.contains(m):
-                pool.append(m)
-        for m in pool:
-            if m not in values:
-                values[m] = value_single_market(g, Coalition(m))
-
-        fixed = [(Coalition(m), r) for m, r in zip(fixed_masks, fixed_rhs)]
         while True:
             if len(pool) > cut_guard:
                 raise InternalError("cutting-plane pool grew past its guard")
             res = solve_lp(_level_program(n, pool, values, fixed_masks, fixed_rhs))
             if res.status != OPTIMAL:
                 raise InternalError(f"level program ended {res.status}")
-            point, level_value = res.x[:n], res.x[n]
-            violated = separate(g, point, level_value, fixed)
+            level_value = res.x[n]
+            if cut is None:
+                break
+            violated = cut(res.x[:n], level_value, fixed_masks, fixed_rhs)
             if violated is None:
                 break
-            pool.append(violated.mask)
-            values[violated.mask] = value_single_market(g, violated)
+            pool.append(violated)
+            values[violated] = value(violated)
 
-        chosen = None
+        rank = span.rank
         for idx, mask in enumerate(pool):
             # a negative multiplier on a >= row of a max program marks a
             # binding constraint (its covering-form dual is positive)
-            if res.duals[idx] < 0 and not span.contains(mask):
-                chosen = mask
+            if res.duals[idx] < 0:
                 if not res.tight[idx]:
                     raise InternalError("binding coalition is not tight")
-                break
-        if chosen is None:
+                if span.add(mask):
+                    fixed_masks.append(mask)
+                    fixed_rhs.append(values[mask] + level_value)
+        if span.rank == rank:
             raise InternalError("no binding independent coalition to fix")
-        fixed_masks.append(chosen)
-        fixed_rhs.append(values[chosen] + level_value)
-        span.add(chosen)
 
-    xs = solve_linear_system([_chi(m, n) for m in fixed_masks], fixed_rhs)
+    return solve_linear_system([_chi(m, n) for m in fixed_masks], fixed_rhs)
+
+
+def nucleolus_separation(g: SingleMarketGame) -> Allocation:
+    """Nucleolus via lexicographic levels solved by cutting planes.
+
+    The level programs start from the singletons and grow by the
+    coalitions `separate` finds.  Produces exactly the same allocation as
+    the primal-dual route.
+    """
+    n = g.n
+    method = "nucleolus (separation)"
+    if n == 1:
+        return _canonical_allocation(g, (g.alpha[0],), method)
+
+    def cut(x, epsilon, fixed_masks, fixed_rhs):
+        fixed = [(Coalition(m), r) for m, r in zip(fixed_masks, fixed_rhs)]
+        violated = separate(g, x, epsilon, fixed)
+        return None if violated is None else violated.mask
+
+    xs = _sequential_lp(
+        n,
+        lambda m: value_single_market(g, Coalition(m)),
+        [1 << k for k in range(n)],
+        cut,
+    )
     return _canonical_allocation(g, xs, method)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle route
-# ---------------------------------------------------------------------------
-
-
-def _mask_sum(values: Sequence[Fraction], mask: int) -> Fraction:
-    total = _ZERO
-    k = 0
-    while mask:
-        if mask & 1:
-            total += values[k]
-        mask >>= 1
-        k += 1
-    return total
 
 
 class _MaskSpan:
@@ -533,62 +551,9 @@ class _MaskSpan:
         return True
 
 
-class _FaceProber:
-    """Find every coalition whose payoff is constant on the optimal face.
-
-    x(S) is constant on the face iff its characteristic vector lies in
-    the span of the face's equality system (fixed rows plus implied-
-    equality rows).  Implied rows are certified by maximizing their
-    slack over the face: points with positive slack rule rows out, and
-    a running average of all points seen rules out most rows without
-    any solve.  This reproduces the min-vs-max probe pair exactly,
-    because min x(S) already sits at the bound for candidate rows.
-    """
-
-    def __init__(self, n, free, vals, fixed_masks, fixed_rhs, level_value, xstar):
-        self.n = n
-        self.free = free
-        self.vals = vals
-        self.level_value = level_value
-        self.rows = tuple(_chi(m, n) for m in free) + tuple(
-            _chi(m, n) for m in fixed_masks
-        )
-        self.rels = tuple([GE] * len(free) + [EQ] * len(fixed_masks))
-        self.rhs = tuple(vals[m] + level_value for m in free) + tuple(fixed_rhs)
-        self.span = _MaskSpan(n)
-        for mask in fixed_masks:
-            self.span.add(mask)
-        self.point_sum = list(xstar)
-        self.point_count = 1
-
-    def _slack_at_mean(self, mask: int) -> bool:
-        lhs = _mask_sum(self.point_sum, mask)
-        bound = self.vals[mask] + self.level_value
-        return lhs > bound * self.point_count
-
-    def _max_over_face(self, mask: int):
-        objective = _chi(mask, self.n)
-        lp = LinearProgram(
-            MAX, objective, self.rows, self.rels, self.rhs, tuple([FREE] * self.n)
-        )
-        res = solve_lp(lp)
-        if res.status != OPTIMAL:
-            raise InternalError(f"face probe ended {res.status}")
-        return res
-
-    def constants(self) -> list[int]:
-        for mask in self.free:
-            if self._slack_at_mean(mask):
-                continue
-            if self.span.contains(mask):
-                continue
-            res = self._max_over_face(mask)
-            if res.value == self.vals[mask] + self.level_value:
-                self.span.add(mask)
-            else:
-                self.point_sum = [a + b for a, b in zip(self.point_sum, res.x)]
-                self.point_count += 1
-        return [m for m in self.free if self.span.contains(m)]
+# ---------------------------------------------------------------------------
+# brute-force oracle route
+# ---------------------------------------------------------------------------
 
 
 def nucleolus_bruteforce(
@@ -596,9 +561,10 @@ def nucleolus_bruteforce(
 ) -> Allocation:
     """Sequential-LP nucleolus for an arbitrary characteristic function.
 
-    Materializes every coalition constraint, maximizes the worst excess,
-    fixes every coalition whose payoff is constant on the optimal face,
-    and repeats until one point remains.  Exponential: n <= 12.
+    Materializes every coalition constraint and runs the same level loop
+    as the separation route, with no cuts: maximize the worst excess, fix
+    the binding coalitions (negative multiplier, outside the span of the
+    fixed ones), repeat until one point remains.  Exponential: n <= 12.
     """
     if n < 1:
         raise InputError("need at least one player")
@@ -614,35 +580,5 @@ def nucleolus_bruteforce(
     if n == 1:
         return Allocation((vals[1],), vals[1], method=method, in_core=True)
 
-    span = _MaskSpan(n)
-    span.add(full)
-    fixed_masks: list[int] = [full]
-    fixed_rhs: list[Fraction] = [vals[full]]
-    free = list(range(1, full))
-    rounds = 0
-
-    while span.rank < n:
-        rounds += 1
-        if rounds > n:
-            raise InternalError("sequential scheme exceeded its round bound")
-        free = [m for m in free if not span.contains(m)]
-
-        res = solve_lp(_level_program(n, free, vals, fixed_masks, fixed_rhs))
-        if res.status != OPTIMAL:
-            raise InternalError(f"level program ended {res.status}")
-        xstar, level_value = res.x[:n], res.x[n]
-
-        prober = _FaceProber(
-            n, free, vals, fixed_masks, fixed_rhs, level_value, xstar
-        )
-        added = 0
-        for mask in prober.constants():
-            if span.add(mask):
-                fixed_masks.append(mask)
-                fixed_rhs.append(_mask_sum(xstar, mask))
-                added += 1
-        if added == 0:
-            raise InternalError("no coalition became fixed; scheme is stuck")
-
-    xs = solve_linear_system([_chi(m, n) for m in fixed_masks], fixed_rhs)
+    xs = _sequential_lp(n, vals.__getitem__, range(1, full))
     return Allocation(xs, vals[full], method=method, in_core=None)

@@ -16,6 +16,7 @@ from coopshare import (
     value_oracle,
 )
 from coopshare import cli as cli_module
+from coopshare import game as game_module
 from coopshare.cli import main
 from coopshare.files import decimal_string
 
@@ -342,6 +343,35 @@ class TestUnreadableInput:
             assert err.startswith("error:") and "too long" in err
 
 
+    @pytest.mark.parametrize("flags", [(), ("--exact",)], ids=["decimal", "exact"])
+    def test_report_value_past_the_digit_limit(self, capsys, tmp_path, flags):
+        # each number reads, but v(N) = (price - 1) * (demand + 1) has
+        # about 6000 digits
+        big = "7" * 3000
+        path = tmp_path / "instance.json"
+        path.write_text(
+            SMALL_INSTANCE.replace("PRICE", big).replace("[[1], [1]]", f"[[{big}], [1]]")
+        )
+        code, out, err = run(capsys, "value", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "digits" in err
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text("[0, 0]")
+        code, out, err = run(capsys, "check", str(path), str(alloc), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "digits" in err
+
+    def test_precision_past_the_digit_limit(self, capsys):
+        code, out, err = run(
+            capsys, "allocate", SM, "--method", "nucleolus", "--precision", "5000"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "precision" in err
+
+
 class TestCheckCommand:
     def test_core_point_accepted(self, capsys, tmp_path):
         path = tmp_path / "alloc.json"
@@ -385,15 +415,15 @@ class TestCheckCommand:
 
 @pytest.fixture
 def value_calls(monkeypatch):
-    """Count the coalition values the CLI computes."""
+    """Count the coalition values the CLI computes through `value_oracle`."""
     calls = []
-    real = cli_module.value_general
+    real = game_module.value_general
 
     def counted(inst, coalition, *args, **kwargs):
         calls.append(coalition.mask)
         return real(inst, coalition, *args, **kwargs)
 
-    monkeypatch.setattr(cli_module, "value_general", counted)
+    monkeypatch.setattr(game_module, "value_general", counted)
     return calls
 
 

@@ -3,7 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import assert_optimal_certificate, random_single_market
+from conftest import (
+    assert_optimal_certificate,
+    random_capacitated_integral,
+    random_single_market,
+    random_uncapacitated,
+)
 from coopshare import (
     Coalition,
     min_excess,
@@ -26,7 +31,15 @@ from coopshare import (
 )
 from coopshare import nucleolus as nucleolus_module
 from coopshare.nucleolus import FixedFamily, _MaskSpan, improving_direction
-from coopshare.ratlp import RowSpace
+from coopshare.ratlp import (
+    EQ,
+    FREE,
+    GE,
+    MAX,
+    LinearProgram,
+    RowSpace,
+    solve_linear_system,
+)
 
 THIRD = F(1, 3)
 DEMO_GAME = single_market([1, 1, 0], [THIRD, THIRD, THIRD])
@@ -55,7 +68,6 @@ class TestImprovingDirection:
     def test_shape(self):
         d = improving_direction(FixedFamily(Coalition.of([3]), 4))
         assert d.delta == (F(2), F(-1), F(0), F(-1))
-        assert d.step == 1
         assert sum(d.delta) == 0
 
     def test_orthogonal_to_family_generators(self):
@@ -327,6 +339,107 @@ class TestBruteForce:
         alloc = nucleolus_bruteforce(oracle, 3)
         assert sum(alloc.values) == alloc.total == oracle(Coalition.full(3))
         assert core_check(oracle, alloc.values, 3).in_core
+
+
+def reference_bruteforce(value, n):
+    """The face-probing sequential-LP nucleolus: each level fixes every
+    coalition whose payoff is constant on the optimal face, certified by
+    maximizing that payoff over the face (one extra LP per candidate that
+    the running mean of the probe optima does not rule out)."""
+    full = (1 << n) - 1
+    vals = {m: value(Coalition(m)) for m in range(1, full + 1)}
+    if n == 1:
+        return (vals[1],)
+
+    def chi(m):
+        return tuple(m >> k & 1 for k in range(n))
+
+    span = RowSpace()
+    span.add(chi(full))
+    fixed = [(full, vals[full])]
+    free = list(range(1, full))
+    while span.rank < n:
+        free = [m for m in free if not span.contains(chi(m))]
+        eq_rows = tuple(chi(m) for m, _ in fixed)
+        eq_rhs = tuple(r for _, r in fixed)
+        rels = (GE,) * len(free) + (EQ,) * len(fixed)
+        level = solve_lp(LinearProgram(
+            MAX, (0,) * n + (1,),
+            tuple(chi(m) + (-1,) for m in free) + tuple(r + (0,) for r in eq_rows),
+            rels, tuple(vals[m] for m in free) + eq_rhs, (FREE,) * (n + 1),
+        ))
+        xstar, eps = level.x[:n], level.x[n]
+        face_rows = tuple(chi(m) for m in free) + eq_rows
+        face_rhs = tuple(vals[m] + eps for m in free) + eq_rhs
+        constant = RowSpace()
+        for row in eq_rows:
+            constant.add(row)
+        point_sum, points = list(xstar), 1
+        for m in free:
+            at_mean = sum(point_sum[k] for k in range(n) if m >> k & 1)
+            if at_mean > (vals[m] + eps) * points or constant.contains(chi(m)):
+                continue
+            probe = solve_lp(
+                LinearProgram(MAX, chi(m), face_rows, rels, face_rhs, (FREE,) * n)
+            )
+            if probe.value == vals[m] + eps:
+                constant.add(chi(m))
+            else:
+                point_sum = [a + b for a, b in zip(point_sum, probe.x)]
+                points += 1
+        added = 0
+        for m in free:
+            if constant.contains(chi(m)) and span.add(chi(m)):
+                fixed.append((m, sum(xstar[k] for k in range(n) if m >> k & 1)))
+                added += 1
+        assert added
+    return solve_linear_system([chi(m) for m, _ in fixed], [r for _, r in fixed])
+
+
+class TestBruteForceOnGeneralGames:
+    def test_matches_face_probing_reference(self):
+        rng = random.Random(8128)
+        games = 0
+        for n in range(2, 7):
+            for m in (2, 3):
+                for make in (random_capacitated_integral, random_uncapacitated):
+                    for _ in range(2):
+                        value = value_oracle(make(rng, n, m))
+                        got = nucleolus_bruteforce(value, n)
+                        assert got.values == reference_bruteforce(value, n)
+                        games += 1
+        assert games == 40
+
+    def test_level_programs_only_and_at_most_n_minus_1(self, monkeypatch):
+        built, solved = [], []
+        real_build, real_solve = nucleolus_module._level_program, nucleolus_module.solve_lp
+
+        def build(*args):
+            lp = real_build(*args)
+            built.append(lp)
+            return lp
+
+        def solve(lp, *args, **kwargs):
+            solved.append(lp)
+            return real_solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(nucleolus_module, "_level_program", build)
+        monkeypatch.setattr(nucleolus_module, "solve_lp", solve)
+        rng = random.Random(4096)
+        oracles = [
+            (oracle_of(random_single_market(rng, n)), n)
+            for n in range(2, 9) for _ in range(3)
+        ] + [
+            (value_oracle(random_capacitated_integral(rng, n, 2)), n)
+            for n in range(2, 7) for _ in range(3)
+        ]
+        for value, n in oracles:
+            built.clear()
+            solved.clear()
+            nucleolus_bruteforce(value, n)
+            assert 1 <= len(solved) <= n - 1
+            assert len(solved) == len(built)
+            assert all(lp is program for lp, program in zip(solved, built))
 
 
 class TestOracleTriangle:
