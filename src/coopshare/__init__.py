@@ -55,7 +55,6 @@ from .ratlp import (
     linear_program,
     rat,
     solve_lp,
-    span_membership,
 )
 from .shapley import (
     ShapleyWeights,

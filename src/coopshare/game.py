@@ -21,7 +21,7 @@ from .errors import (
     InternalError,
     SizeError,
 )
-from .ratlp import EQ, LE, MAX, NONNEG, OPTIMAL, LinearProgram, rat, solve_lp
+from .ratlp import EQ, LE, MAX, NONNEG, OPTIMAL, LinearProgram, WarmStart, rat, solve_lp
 
 ENUMERATION_LIMIT = 20  # 2^n coalition scans are desk-scale tools only
 
@@ -357,17 +357,66 @@ def value_single_market(g: SingleMarketGame, coalition: Coalition) -> Fraction:
     return g.alpha[best] * lam
 
 
+def _transport_program(inst, players, capped, rhs) -> tuple[list, LinearProgram]:
+    """The cells (i, j) and the program over y[i][j] for `players`: maximize
+    profit, meet market j's demand rhs[j], and keep each `capped` player's
+    total shipments within the rest of rhs, in order.  Players are 1-based."""
+    cells = [(i, j) for i in players for j in range(inst.m)]
+    rows = [tuple(int(c == j) for _, c in cells) for j in range(inst.m)]
+    rows += [tuple(int(p == i) for p, _ in cells) for i in capped]
+    # the instance's entries are validated Fractions; build the program as is
+    return cells, LinearProgram(
+        MAX,
+        tuple(inst.profit[i - 1][j] for i, j in cells),
+        tuple(rows),
+        (EQ,) * inst.m + (LE,) * len(capped),
+        tuple(rhs),
+        (NONNEG,) * len(cells),
+    )
+
+
+class _CappedValues:
+    """Coalition values from one program over all players, re-solved for each
+    coalition S from its last optimal basis.  Player i's capacity row reads
+    c_i [i in S], with c_i = D(N), which never binds, for an uncapped player.
+    `data` lists the c_i, then the demands row by row, as integers over `scale`."""
+
+    def __init__(self, inst: NormalizedInstance):
+        total = sum(map(sum, inst.demand))
+        caps = [total if q is None else q for q in inst.capacity]
+        self.inst, self.warm = inst, None
+        self.data, self.scale = _numerators([*caps, *(d for row in inst.demand for d in row)])
+
+    def value(self, coalition: Coalition) -> Fraction:
+        n, m, mask = self.inst.n, self.inst.m, coalition.mask
+        members = [i for i in range(n) if mask >> i & 1]
+        rhs = [sum(self.data[n + i * m + j] for i in members) for j in range(m)]
+        rhs += [q if mask >> i & 1 else 0 for i, q in enumerate(self.data[:n])]
+        if self.warm is None:
+            players = range(1, n + 1)
+            self.warm = WarmStart(_transport_program(self.inst, players, players, rhs)[1])
+        return self.warm.value(rhs) / self.scale
+
+
 def value_oracle(inst: NormalizedInstance) -> Callable[[Coalition], Fraction]:
     """Characteristic function of the full game, in original units.
 
     Each coalition is valued once per oracle; repeats are read back by mask.
+    Coalitions with a capped member are re-solved from the last optimal
+    basis of one program over all players; the rest use the closed form.
     """
     values: dict[int, Fraction] = {}
+    capped = sum(1 << i for i, q in enumerate(inst.capacity) if q is not None)
+    program = _CappedValues(inst) if capped else None
 
     def v(coalition: Coalition) -> Fraction:
-        if coalition.mask not in values:
-            values[coalition.mask] = value_general(inst, coalition)
-        return values[coalition.mask]
+        mask = coalition.mask
+        if mask not in values:
+            if mask & capped and not mask >> inst.n:
+                values[mask] = program.value(coalition)
+            else:
+                values[mask] = value_general(inst, coalition)
+        return values[mask]
 
     return v
 
@@ -404,21 +453,10 @@ def value_general(
 
     # LP over y[i][j] for coalition members: maximize profit, meet the
     # coalition's pooled demand per market, respect capacities.
-    cells = [(i, j) for i in members for j in range(inst.m)]  # one per variable
     capped = [i for i in members if inst.capacity[i - 1] is not None]
-    rows = [tuple(int(c == j) for _, c in cells) for j in range(inst.m)]
-    rows += [tuple(int(p == i) for p, _ in cells) for i in capped]
     rhs = [sum(inst.demand[i - 1][j] for i in members) for j in range(inst.m)]
     rhs += [inst.capacity[i - 1] for i in capped]
-    # the instance's entries are validated Fractions; build the program as is
-    lp = LinearProgram(
-        MAX,
-        tuple(inst.profit[i - 1][j] for i, j in cells),
-        tuple(rows),
-        (EQ,) * inst.m + (LE,) * len(capped),
-        tuple(rhs),
-        (NONNEG,) * len(cells),
-    )
+    cells, lp = _transport_program(inst, members, capped, rhs)
     res = solve_lp(lp)
     if res.status != OPTIMAL:
         raise InternalError(

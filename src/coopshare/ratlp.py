@@ -136,9 +136,10 @@ class LpResult:
 
     For optimal programs, `x` is a basic (vertex) solution, `duals` hold
     one multiplier per constraint certifying optimality through exact
-    complementary slackness, and `tight` marks rows active at `x`; rows
-    that are tight with a positive dual identify the binding facets of
-    the optimal basis, which iterative callers fix.
+    complementary slackness, and `tight` marks rows active at `x`.  Duals
+    follow the sense: in a max program a `<=` row's dual is nonnegative
+    and a `>=` row's nonpositive (the reverse in a min program), so the
+    binding `>=` rows of a max program are those with a negative dual.
     """
 
     status: str
@@ -241,6 +242,27 @@ class _Tableau:
                 return UNBOUNDED
             self.pivot(r, c)
             pivots += 1
+
+    def dual_run(self, limit: int) -> bool:
+        """Dual simplex by Bland's rule until every basic value is >= 0: the
+        row with the smallest negative basic index leaves, the column of
+        least reduced cost over the row's negated entry enters, ties to the
+        smallest column.  False if no column can enter (infeasible)."""
+        mat, basis = self.mat, self.basis
+        while True:
+            r = min((i for i in range(self.m) if mat[i][-1] < 0),
+                    key=basis.__getitem__, default=None)
+            if r is None:
+                return True
+            row, cost, best = mat[r], mat[-1], None
+            for j in range(limit):
+                a = row[j]
+                if a < 0 and (best is None or cost[j] * best_den < best_num * -a):
+                    best, best_num, best_den = j, cost[j], -a
+            if best is None:
+                return False
+            mat[r] = [-v for v in row]
+            self.pivot(r, best)
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +387,8 @@ class _Canonical:
         self.cost1 = cost1
 
 
-def _solve_primal(lp: LinearProgram) -> tuple[LpResult, tuple[bool, ...]]:
-    """Pivot on lp's own tableau.
-
-    Also returns, for an optimal program, which variables end with zero
-    reduced cost: when lp is the dual of a program, those are exactly
-    the program's rows that are tight at the returned solution.
-    """
-    can = _Canonical(lp)
+def _two_phase(can: _Canonical) -> tuple[str, _Tableau]:
+    """Phases 1 and 2 on the canonical program: (status, final tableau)."""
     tab = _Tableau(can.rows, can.cost1, can.cost2, can.basis0)
     m = tab.m
     art_set = set(can.art_cols)
@@ -381,7 +397,7 @@ def _solve_primal(lp: LinearProgram) -> tuple[LpResult, tuple[bool, ...]]:
     if status == UNBOUNDED:
         raise InternalError("phase-1 objective cannot be unbounded")
     if tab.mat[m][-1] != 0:
-        return LpResult(status=INFEASIBLE), ()
+        return INFEASIBLE, tab
 
     # Drive basic artificials out; rows where that is impossible are
     # redundant and keep their artificial basic at level zero.
@@ -403,11 +419,22 @@ def _solve_primal(lp: LinearProgram) -> tuple[LpResult, tuple[bool, ...]]:
         if target is not None:
             tab.pivot(r, target)
 
-    status = tab.run(m + 1, can.n_with_slack)
-    if status == UNBOUNDED:
-        return LpResult(status=UNBOUNDED), ()
+    return tab.run(m + 1, can.n_with_slack), tab
 
-    div = tab.div
+
+def _solve_primal(lp: LinearProgram) -> tuple[LpResult, tuple[bool, ...]]:
+    """Pivot on lp's own tableau.
+
+    Also returns, for an optimal program, which variables end with zero
+    reduced cost: when lp is the dual of a program, those are exactly
+    the program's rows that are tight at the returned solution.
+    """
+    can = _Canonical(lp)
+    status, tab = _two_phase(can)
+    if status != OPTIMAL:
+        return LpResult(status=status), ()
+
+    m, div = tab.m, tab.div
     zvals: dict[int, Fraction] = {}
     for r in range(m):
         zvals[tab.basis[r]] = Fraction(tab.mat[r][-1], div)
@@ -434,6 +461,39 @@ def _solve_primal(lp: LinearProgram) -> tuple[LpResult, tuple[bool, ...]]:
     tight = tuple(col is None or not zvals.get(col) for col in can.slack_col)
     priced_out = tuple(cost_row[col] == 0 for col in can.plus_col)
     return LpResult(OPTIMAL, value, tuple(x), tuple(duals), tight), priced_out
+
+
+class WarmStart:
+    """One program re-solved for new right-hand sides from its last optimal
+    basis: reduced costs do not depend on the right-hand side, so the basis
+    stays dual feasible and a few dual simplex pivots restore primal
+    feasibility.  Rows and right-hand sides must be integers, the
+    right-hand sides nonnegative and the rows of full rank."""
+
+    def __init__(self, lp: LinearProgram):
+        can = _Canonical(lp)
+        if any(k != 1 for k in can.row_mult):
+            raise InternalError("warm starts need integer rows and right-hand sides >= 0")
+        status, tab = _two_phase(can)
+        if status != OPTIMAL:
+            raise InternalError(f"warm-start program ended {status}")
+        if set(tab.basis) & set(can.art_cols):
+            raise InternalError("artificial left basic after phase 1")
+        del tab.mat[tab.m]  # the phase-1 cost row is not needed again
+        self._can, self._tab = can, tab
+
+    def value(self, rhs: Sequence[int]) -> Fraction:
+        """Optimal value for the integer right-hand side `rhs`."""
+        if any(b < 0 for b in rhs):
+            raise InternalError("warm re-solves need a nonnegative right-hand side")
+        can, tab = self._can, self._tab
+        # the start (slack/artificial) columns hold div * B^-1, so each
+        # row's right-hand side, cost row included, is that times rhs
+        for row in tab.mat:
+            row[-1] = sum(row[c] * b for c, b in zip(can.basis0, rhs) if b)
+        if not tab.dual_run(can.n_with_slack):
+            raise InternalError("warm re-solve found the program infeasible")
+        return can.sense_sign * Fraction(-tab.mat[-1][-1], tab.div * can.obj_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -519,63 +579,6 @@ def solve_lp(lp: LinearProgram, orientation: str = "auto") -> LpResult:
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers
 # ---------------------------------------------------------------------------
-
-
-class RowSpace:
-    """Incremental exact row space (reduced echelon form) over Q."""
-
-    def __init__(self):
-        self._rows: list[list[Fraction]] = []
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def _residual(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        v = [Fraction(a) for a in vec]
-        for row, p in zip(self._rows, self._pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return not any(self._residual(vec))
-
-    def add(self, vec: Sequence[Fraction]) -> bool:
-        """Insert vec; returns True if it increased the rank."""
-        v = self._residual(vec)
-        for p, a in enumerate(v):
-            if a:
-                v = [b / a for b in v]
-                for i, row in enumerate(self._rows):
-                    if row[p]:
-                        f = row[p]
-                        self._rows[i] = [x - f * y for x, y in zip(row, v)]
-                self._rows.append(v)
-                self._pivots.append(p)
-                return True
-        return False
-
-
-def span_membership(target: Sequence, basis: Iterable[Sequence]) -> bool:
-    """True iff target lies in the rational span of the basis vectors.
-
-    Vectors are anything rat() accepts per entry; computed by exact
-    Gaussian elimination.
-    """
-    tgt = [rat(a) for a in target]
-    space = RowSpace()
-    for vec in basis:
-        row = [rat(a) for a in vec]
-        if len(row) != len(tgt):
-            raise InputError(
-                f"dimension mismatch: basis vector of length {len(row)}, "
-                f"target of length {len(tgt)}"
-            )
-        space.add(row)
-    return space.contains(tgt)
 
 
 def solve_linear_system(

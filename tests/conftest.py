@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random generators and exact LP certificate checks."""
+"""Shared helpers: seeded random generators, exact LP certificate checks and
+a reference row space."""
 
 import random
 from fractions import Fraction
@@ -68,6 +69,44 @@ def random_capacitated_integral(rng: random.Random, n: int, m: int):
     return normalize(inst)
 
 
+class RowSpace:
+    """Incremental exact row space (reduced echelon form) over Q."""
+
+    def __init__(self):
+        self._rows: list[list[Fraction]] = []
+        self._pivots: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _residual(self, vec) -> list[Fraction]:
+        v = [Fraction(a) for a in vec]
+        for row, p in zip(self._rows, self._pivots):
+            if v[p]:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def contains(self, vec) -> bool:
+        return not any(self._residual(vec))
+
+    def add(self, vec) -> bool:
+        """Insert vec; returns True if it increased the rank."""
+        v = self._residual(vec)
+        for p, a in enumerate(v):
+            if a:
+                v = [b / a for b in v]
+                for i, row in enumerate(self._rows):
+                    if row[p]:
+                        f = row[p]
+                        self._rows[i] = [x - f * y for x, y in zip(row, v)]
+                self._rows.append(v)
+                self._pivots.append(p)
+                return True
+        return False
+
+
 def random_coalition(rng: random.Random, n: int) -> Coalition:
     mask = rng.randrange(1, 1 << n)
     return Coalition(mask)
@@ -119,8 +158,6 @@ def assert_optimal_certificate(lp, res):
     # with only nonnegative variables, a basic solution means the binding
     # rows and binding bounds pin x uniquely
     if all(dom == "nonneg" for dom in lp.domains):
-        from coopshare.ratlp import RowSpace
-
         binding = RowSpace()
         for row, flag in zip(lp.rows, res.tight):
             if flag:

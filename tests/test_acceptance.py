@@ -16,6 +16,7 @@ import pytest
 from conftest import (
     MULTI_MARKET_FIXTURE,
     SINGLE_MARKET_FIXTURE,
+    RowSpace,
     random_capacitated_integral,
     random_single_market,
     random_uncapacitated,
@@ -43,7 +44,6 @@ from coopshare import (
 )
 from coopshare.cli import main as cli_main
 from coopshare.nucleolus import FixedFamily, improving_direction
-from coopshare.ratlp import RowSpace
 
 THIRD = F(1, 3)
 

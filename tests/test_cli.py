@@ -415,15 +415,23 @@ class TestCheckCommand:
 
 @pytest.fixture
 def value_calls(monkeypatch):
-    """Count the coalition values the CLI computes through `value_oracle`."""
+    """Count the coalition values the CLI computes through `value_oracle`:
+    warm re-solves for coalitions with a capped member, `value_general`
+    for the rest."""
     calls = []
-    real = game_module.value_general
+    real_warm = game_module._CappedValues.value
+    real_general = game_module.value_general
 
-    def counted(inst, coalition, *args, **kwargs):
+    def warm(self, coalition):
         calls.append(coalition.mask)
-        return real(inst, coalition, *args, **kwargs)
+        return real_warm(self, coalition)
 
-    monkeypatch.setattr(game_module, "value_general", counted)
+    def general(inst, coalition, *args, **kwargs):
+        calls.append(coalition.mask)
+        return real_general(inst, coalition, *args, **kwargs)
+
+    monkeypatch.setattr(game_module._CappedValues, "value", warm)
+    monkeypatch.setattr(game_module, "value_general", general)
     return calls
 
 

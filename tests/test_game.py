@@ -2,8 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_coalition, random_single_market, random_uncapacitated
+from conftest import (
+    random_capacitated_integral,
+    random_coalition,
+    random_single_market,
+    random_uncapacitated,
+)
 from coopshare import (
     Coalition,
     DegenerateMarketError,
@@ -16,6 +23,7 @@ from coopshare import (
     single_market,
     to_single_market,
     value_general,
+    value_oracle,
     value_single_market,
 )
 
@@ -222,6 +230,72 @@ class TestValueGeneral:
     def test_empty_coalition_rejected(self):
         with pytest.raises(InputError):
             value_general(MULTI, Coalition(0))
+
+
+def _capacitated(rng, n, m, den=1, mixed=False, zero_market=False, zero_profit=False):
+    """A seeded instance; demands and extra capacity have denominators up
+    to `den`, and `mixed` leaves some players uncapped."""
+    price = [rng.randint(1, 9) for _ in range(m)]
+    cost = [[rng.randint(0, 9) for _ in range(m)] for _ in range(n)]
+    demand = [[F(rng.randint(0, 6), rng.randint(1, den)) for _ in range(m)] for _ in range(n)]
+    if zero_market:
+        empty = rng.randrange(m)
+        for row in demand:
+            row[empty] = F(0)
+    if zero_profit:
+        for row in cost:
+            row[rng.randrange(m)] = 10  # above every price: the cell earns 0
+    capacity = [sum(row) + F(rng.randint(0, 5), rng.randint(1, den)) for row in demand]
+    if mixed:  # at least one player keeps a cap
+        keep = rng.randrange(n)
+        capacity = [q if i == keep or rng.random() < 0.6 else None
+                    for i, q in enumerate(capacity)]
+    return normalize(_instance(price, cost, demand, capacity))
+
+
+def _assert_oracle_matches(inst, rng):
+    """Every coalition, in mask order and in shuffled order on a fresh
+    oracle, so that re-solves start from arbitrary bases."""
+    masks = list(range(1, 1 << inst.n))
+    expected = {mask: value_general(inst, Coalition(mask)) for mask in masks}
+    for order in (masks, rng.sample(masks, len(masks))):
+        v = value_oracle(inst)
+        for mask in order:
+            assert v(Coalition(mask)) == expected[mask], (inst, mask)
+
+
+class TestValueOracle:
+    CASES = {
+        "integral": lambda rng, n, m: random_capacitated_integral(rng, n, m),
+        "fractional": lambda rng, n, m: _capacitated(rng, n, m, den=3),
+        "mixed-caps": lambda rng, n, m: _capacitated(rng, n, m, den=2, mixed=True),
+        "zero-demand-market": lambda rng, n, m: _capacitated(rng, n, m, zero_market=True),
+        "zero-profit-cells": lambda rng, n, m: _capacitated(rng, n, m, den=2, zero_profit=True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_value_general(self, case):
+        rng = random.Random(f"oracle:{case}")
+        for n in range(2, 9):
+            for _ in range(3 if n < 7 else 1):
+                _assert_oracle_matches(self.CASES[case](rng, n, rng.randint(1, 3)), rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_property_matches_value_general(self, n, m, den, mixed, rng):
+        _assert_oracle_matches(_capacitated(rng, n, m, den=den, mixed=mixed), rng)
+
+    def test_out_of_range_coalitions_rejected(self):
+        v = value_oracle(random_capacitated_integral(random.Random(3), 3, 2))
+        for mask in (0, 1 << 3):
+            with pytest.raises(InputError):
+                v(Coalition(mask))
 
 
 class TestMinExcess:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
+    RowSpace,
     assert_optimal_certificate,
     random_capacitated_integral,
     random_single_market,
@@ -37,7 +38,6 @@ from coopshare.ratlp import (
     GE,
     MAX,
     LinearProgram,
-    RowSpace,
     solve_linear_system,
 )
 

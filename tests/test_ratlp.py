@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import assert_optimal_certificate
+from conftest import RowSpace, assert_optimal_certificate
 from coopshare import (
     InputError,
     InternalError,
@@ -11,9 +11,8 @@ from coopshare import (
     linear_program,
     rat,
     solve_lp,
-    span_membership,
 )
-from coopshare.ratlp import solve_linear_system
+from coopshare.ratlp import WarmStart, solve_linear_system
 
 
 def test_rat_parsing():
@@ -188,13 +187,64 @@ def test_integral_vertices_for_unimodular_rows():
     assert all(v.denominator == 1 for v in res.x)
 
 
-def test_span_membership():
-    assert span_membership([1, 1, 0], [[1, 0, 0], [0, 1, 0]])
-    assert not span_membership([1, 0, 0], [[1, 1, 0], [0, 1, 1]])
-    assert span_membership([1, 1, 1], [[1, 1, 1]])
-    assert not span_membership([1, 0], [])
-    with pytest.raises(InputError):
-        span_membership([1, 0], [[1, 0, 0]])
+def _warm_program(rng, sense, n):
+    """Integer rows over n variables: some equalities, then `<=` rows
+    ending in an all-ones row that bounds every variable."""
+    eq = [[rng.randint(0, 3) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    le = [[rng.randint(0, 3) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    le.append([1] * n)
+    objective = [F(rng.randint(-3, 5), rng.randint(1, 3)) for _ in range(n)]
+
+    def program(x0, slack):
+        # feasible by construction: x0 meets the equalities, slack >= 0
+        b = [sum(a * x for a, x in zip(row, x0)) for row in eq]
+        b += [sum(a * x for a, x in zip(row, x0)) + s for row, s in zip(le, slack)]
+        rows = [(row, "=", v) for row, v in zip(eq, b)]
+        rows += [(row, "<=", v) for row, v in zip(le, b[len(eq):])]
+        return linear_program(sense, objective, rows)
+
+    return eq, le, program
+
+
+def test_warm_start_matches_cold_solves():
+    rng = random.Random(515)
+    programs = 0
+    while programs < 60:
+        n = rng.randint(1, 5)
+        sense = rng.choice(["max", "min"])
+        eq, le, program = _warm_program(rng, sense, n)
+        space = RowSpace()
+        if not all(space.add(row) for row in eq):
+            continue  # the equalities must have full row rank
+        programs += 1
+
+        def draw():
+            x0 = [rng.randint(0, 4) for _ in range(n)]
+            return program(x0, [rng.randint(0, 3) for _ in le])
+
+        warm = WarmStart(draw())
+        for _ in range(12):
+            lp = draw()
+            assert warm.value([int(b) for b in lp.rhs]) == solve_lp(lp).value
+
+
+def test_warm_start_refusals():
+    lp = linear_program("max", [1, 2], [([1, 1], "=", 2), ([0, 1], "<=", 1)])
+    warm = WarmStart(lp)
+    assert warm.value([2, 1]) == 3
+    assert warm.value([3, 0]) == 3
+    with pytest.raises(InternalError):
+        warm.value([-1, 1])
+    infeasible = linear_program("max", [1], [([1], "=", 2), ([1], "<=", 1)])
+    with pytest.raises(InternalError):
+        WarmStart(infeasible)
+    bounded = WarmStart(linear_program("max", [1], [([1], "=", 1), ([1], "<=", 1)]))
+    with pytest.raises(InternalError):
+        bounded.value([2, 1])  # the equality asks for more than the bound allows
+    with pytest.raises(InternalError):  # dependent rows leave an artificial basic
+        WarmStart(linear_program("max", [1], [([1], "=", 1), ([1], "=", 1)]))
+    with pytest.raises(InternalError):
+        WarmStart(linear_program("max", [1], [([1], "<=", "1/2")]))
 
 
 def test_solve_linear_system():
