@@ -87,9 +87,6 @@ class Coalition:
         return "{" + ",".join(str(p) for p in self.members()) + "}"
 
 
-EMPTY_COALITION = Coalition(0)
-
-
 def _matrix(values, n: int, m: int, what: str) -> tuple[tuple[Fraction, ...], ...]:
     rows = tuple(tuple(rat(v) for v in row) for row in values)
     if len(rows) != n or any(len(r) != m for r in rows):
@@ -425,7 +422,6 @@ def value_general(
     inst: NormalizedInstance,
     coalition: Coalition,
     want_plan: bool = False,
-    force_lp: bool = False,
 ):
     """Optimal joint profit of a coalition, with an optional production plan.
 
@@ -440,7 +436,7 @@ def value_general(
         raise InputError(f"coalition {coalition} exceeds the {inst.n}-player instance")
     members = coalition.members()
     uncap = all(inst.capacity[i - 1] is None for i in members)
-    if uncap and not force_lp:
+    if uncap:
         value = Fraction(0)
         plan = [[Fraction(0)] * inst.m for _ in range(inst.n)] if want_plan else None
         for j in range(inst.m):
@@ -549,8 +545,6 @@ def core_check(
             f"core enumeration is limited to {ENUMERATION_LIMIT} players, got {n}"
         )
     x = [rat(c) for c in x]
-    if n == 1:
-        return CoreCheck(True)
     full = (1 << n) - 1
     if sum(x) != v(Coalition(full)):
         raise InputError("allocation does not distribute v(N) exactly")

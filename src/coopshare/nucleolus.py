@@ -40,7 +40,6 @@ from .ratlp import (
     LinearProgram,
     rat,
     solve_lp,
-    solve_linear_system,
 )
 
 BRUTE_FORCE_LIMIT = 12
@@ -328,7 +327,7 @@ def separate(
             raise InputError(
                 f"separation point violates the fixed value of {coalition}"
             )
-        span.add(coalition.mask)
+        span.add(coalition.mask, value)
 
     for i in range(1, n + 1):
         a = g.alpha[i - 1]
@@ -386,24 +385,18 @@ def separate(
     return None
 
 
-def _level_program(
-    n: int,
-    masks: Sequence[int],
-    values,
-    fixed_masks: Sequence[int],
-    fixed_rhs: Sequence[Fraction],
-) -> LinearProgram:
+def _level_program(n: int, masks: Sequence[int], values, span) -> LinearProgram:
     """max epsilon s.t. x(S) - epsilon >= v(S) for S in masks, x(T) = r_T for
-    the fixed coalitions; variables x_1..x_n, epsilon, all free.
+    the coalitions fixed in `span`; variables x_1..x_n, epsilon, all free.
 
     `values[mask]` is v(S).  Both LP routes solve their levels through this
     one program.
     """
     rows = tuple(_chi(m, n) + (-1,) for m in masks) + tuple(
-        _chi(m, n) + (0,) for m in fixed_masks
+        _chi(m, n) + (0,) for m in span.masks
     )
-    rels = (GE,) * len(masks) + (EQ,) * len(fixed_masks)
-    rhs = tuple(values[m] for m in masks) + tuple(fixed_rhs)
+    rels = (GE,) * len(masks) + (EQ,) * len(span.masks)
+    rhs = tuple(values[m] for m in masks) + tuple(span.rhs)
     objective = (0,) * n + (1,)
     return LinearProgram(MAX, objective, rows, rels, rhs, (FREE,) * (n + 1))
 
@@ -413,49 +406,47 @@ def _sequential_lp(
     value: Callable[[int], Fraction],
     rows: Sequence[int],
     cut: Optional[Callable[..., Optional[int]]] = None,
-) -> tuple[Fraction, ...]:
-    """The sequential-LP loop both LP routes run; returns the nucleolus.
+) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The sequential-LP loop both LP routes run; returns the nucleolus and
+    the first level's value, the least-core value epsilon_1.
 
     `value(mask)` is v(S) and `rows` are the coalitions the level programs
-    start from.  When given, `cut(x, epsilon, fixed_masks, fixed_rhs)`
-    returns a coalition violated at the level optimum, or None; the level
-    is re-solved with each cut added.
+    start from.  When given, `cut(x, epsilon, span)` returns a coalition
+    violated at the level optimum, or None; the level is re-solved with
+    each cut added.
 
     Every row with a negative multiplier is tight on the whole optimal
     face (complementary slackness), so each one outside the span of the
     fixed rows is fixed at v(S) + epsilon_k.  The multipliers on the
     epsilon column sum to -1, so some row is fixed at every level and the
-    rank grows: at most n - 1 levels.
+    rank grows: at most n - 1 levels.  The fixed system then pins the
+    nucleolus, read off the span's echelon rows.
     """
     full = (1 << n) - 1
     values = {m: value(m) for m in (full, *rows)}
     span = _MaskSpan(n)
-    span.add(full)
-    fixed_masks: list[int] = [full]
-    fixed_rhs: list[Fraction] = [values[full]]
+    span.add(full, values[full])
     pool = list(rows)
     cut_guard = 2 << n
-    rounds = 0
+    levels = []
 
-    while span.rank < n:
-        rounds += 1
-        if rounds > n:
-            raise InternalError("sequential scheme exceeded its round bound")
+    while span.rank < n:  # the rank grows every round, or the round raises
         pool = [m for m in pool if not span.contains(m)]
         while True:
             if len(pool) > cut_guard:
                 raise InternalError("cutting-plane pool grew past its guard")
-            res = solve_lp(_level_program(n, pool, values, fixed_masks, fixed_rhs))
+            res = solve_lp(_level_program(n, pool, values, span))
             if res.status != OPTIMAL:
                 raise InternalError(f"level program ended {res.status}")
             level_value = res.x[n]
             if cut is None:
                 break
-            violated = cut(res.x[:n], level_value, fixed_masks, fixed_rhs)
+            violated = cut(res.x[:n], level_value, span)
             if violated is None:
                 break
             pool.append(violated)
             values[violated] = value(violated)
+        levels.append(level_value)
 
         rank = span.rank
         for idx, mask in enumerate(pool):
@@ -464,13 +455,11 @@ def _sequential_lp(
             if res.duals[idx] < 0:
                 if not res.tight[idx]:
                     raise InternalError("binding coalition is not tight")
-                if span.add(mask):
-                    fixed_masks.append(mask)
-                    fixed_rhs.append(values[mask] + level_value)
+                span.add(mask, values[mask] + level_value)
         if span.rank == rank:
             raise InternalError("no binding independent coalition to fix")
 
-    return solve_linear_system([_chi(m, n) for m in fixed_masks], fixed_rhs)
+    return span.solve(), levels[0]
 
 
 def nucleolus_separation(g: SingleMarketGame) -> Allocation:
@@ -485,12 +474,12 @@ def nucleolus_separation(g: SingleMarketGame) -> Allocation:
     if n == 1:
         return _canonical_allocation(g, (g.alpha[0],), method)
 
-    def cut(x, epsilon, fixed_masks, fixed_rhs):
-        fixed = [(Coalition(m), r) for m, r in zip(fixed_masks, fixed_rhs)]
+    def cut(x, epsilon, span):
+        fixed = [(Coalition(m), r) for m, r in zip(span.masks, span.rhs)]
         violated = separate(g, x, epsilon, fixed)
         return None if violated is None else violated.mask
 
-    xs = _sequential_lp(
+    xs, _ = _sequential_lp(
         n,
         lambda m: value_single_market(g, Coalition(m)),
         [1 << k for k in range(n)],
@@ -500,15 +489,21 @@ def nucleolus_separation(g: SingleMarketGame) -> Allocation:
 
 
 class _MaskSpan:
-    """Rational span of coalition characteristic vectors.
+    """Rational span of coalition characteristic vectors, each added
+    coalition pinned at a value: the fixed system x(S) = r_S.
 
-    Pure integer reduced-echelon arithmetic; rows are gcd-normalized and
-    zeroed at each other's pivots, so membership tests never divide.
+    Pure integer reduced-echelon arithmetic on the masks; rows are
+    gcd-normalized and zeroed at each other's pivots, so membership tests
+    never divide.  Each row carries one more, rational, entry: the same
+    combination of the values.  `masks` and `rhs` list the coalitions that
+    raised the rank, with their values.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._rows: list[list[int]] = []
+        self.masks: list[int] = []
+        self.rhs: list[Fraction] = []
+        self._rows: list[list] = []
         self._pivots: list[int] = []
 
     @property
@@ -518,7 +513,7 @@ class _MaskSpan:
     def _vec(self, mask: int) -> list[int]:
         return [mask >> k & 1 for k in range(self.n)]
 
-    def _residual(self, v: list[int]) -> list[int]:
+    def _residual(self, v: list) -> list:
         for row, p in zip(self._rows, self._pivots):
             if v[p]:
                 f, g = row[p], v[p]
@@ -528,27 +523,41 @@ class _MaskSpan:
     def contains(self, mask: int) -> bool:
         return not any(self._residual(self._vec(mask)))
 
-    def add(self, mask: int) -> bool:
-        v = self._residual(self._vec(mask))
-        p = next((k for k, a in enumerate(v) if a), None)
+    @staticmethod
+    def _normalized(v: list) -> list:
+        # divide the integer part by its gcd and the value entry alike
+        shrink = gcd(*v[:-1])
+        if shrink > 1:
+            v = [a // shrink for a in v[:-1]] + [Fraction(v[-1], shrink)]
+        return v
+
+    def add(self, mask: int, value: Fraction) -> bool:
+        """Fix x(S) = value unless S is already in the span; True if the
+        rank grew."""
+        v = self._residual([*self._vec(mask), value])
+        p = next((k for k in range(self.n) if v[k]), None)
         if p is None:
             return False
         if v[p] < 0:
             v = [-a for a in v]
-        shrink = gcd(*v)
-        if shrink > 1:
-            v = [a // shrink for a in v]
+        v = self._normalized(v)
         for i, row in enumerate(self._rows):
             if row[p]:
                 f, g = v[p], row[p]
-                row = [a * f - g * b for a, b in zip(row, v)]
-                shrink = gcd(*row)
-                if shrink > 1:
-                    row = [a // shrink for a in row]
-                self._rows[i] = row
+                self._rows[i] = self._normalized([a * f - g * b for a, b in zip(row, v)])
         self._rows.append(v)
         self._pivots.append(p)
+        self.masks.append(mask)
+        self.rhs.append(value)
         return True
+
+    def solve(self) -> tuple[Fraction, ...]:
+        """The one point of the fixed system, once the rank is n: the
+        reduced-echelon rows are then diagonal, so x_p = r / row[p]."""
+        if self.rank < self.n:
+            raise InternalError("the fixed coalitions do not pin a single point")
+        return tuple(Fraction(row[-1], row[p])
+                     for p, row in sorted(zip(self._pivots, self._rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -580,5 +589,7 @@ def nucleolus_bruteforce(
     if n == 1:
         return Allocation((vals[1],), vals[1], method=method, in_core=True)
 
-    xs = _sequential_lp(n, vals.__getitem__, range(1, full))
-    return Allocation(xs, vals[full], method=method, in_core=None)
+    # the nucleolus's least excess is the least-core value: in the core
+    # iff that is nonnegative
+    xs, least_core = _sequential_lp(n, vals.__getitem__, range(1, full))
+    return Allocation(xs, vals[full], method=method, in_core=least_core >= 0)

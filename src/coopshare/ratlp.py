@@ -575,29 +575,3 @@ def solve_lp(lp: LinearProgram, orientation: str = "auto") -> LpResult:
     duals = tuple(f * y for f, y in zip(flips, res.x))
     return LpResult(OPTIMAL, res.value, res.duals, duals, priced_out)
 
-
-# ---------------------------------------------------------------------------
-# exact linear algebra helpers
-# ---------------------------------------------------------------------------
-
-
-def solve_linear_system(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """Solve A x = b exactly for square nonsingular A."""
-    n = len(rows)
-    if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise InputError("solve_linear_system needs a square system")
-    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise InternalError("singular system in solve_linear_system")
-        a[col], a[piv] = a[piv], a[col]
-        f = a[col][col]
-        a[col] = [v / f for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                g = a[r][col]
-                a[r] = [v - g * w for v, w in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))

@@ -1,5 +1,5 @@
-"""Shared helpers: seeded random generators, exact LP certificate checks and
-a reference row space."""
+"""Shared helpers: seeded random generators, exact LP certificate checks, a
+reference row space and a reference linear solver."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,9 @@ from pathlib import Path
 
 from coopshare import (
     Coalition,
+    InputError,
     Instance,
+    InternalError,
     SingleMarketGame,
     normalize,
     single_market,
@@ -105,6 +107,27 @@ class RowSpace:
                 self._pivots.append(p)
                 return True
         return False
+
+
+def solve_linear_system(rows, rhs) -> tuple[Fraction, ...]:
+    """Solve A x = b exactly for square nonsingular A by Fraction
+    Gauss-Jordan elimination."""
+    n = len(rows)
+    if any(len(r) != n for r in rows) or len(rhs) != n:
+        raise InputError("solve_linear_system needs a square system")
+    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise InternalError("singular system in solve_linear_system")
+        a[col], a[piv] = a[piv], a[col]
+        f = a[col][col]
+        a[col] = [v / f for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                g = a[r][col]
+                a[r] = [v - g * w for v, w in zip(a[r], a[col])]
+    return tuple(a[r][n] for r in range(n))
 
 
 def random_coalition(rng: random.Random, n: int) -> Coalition:

@@ -458,6 +458,26 @@ class TestOracleCalls:
         assert len(value_calls) == 2**5 - 1
         assert len(set(value_calls)) == 2**5 - 1
 
+    @pytest.mark.parametrize("method, enumerations", [("nucleolus", 0), ("shapley", 1)])
+    def test_core_flag_enumerates_only_without_a_route_verdict(
+        self, capsys, tmp_path, monkeypatch, method, enumerations
+    ):
+        # the brute-force nucleolus decides its own core flag from the
+        # least-core value; Shapley's flag still enumerates coalitions
+        calls = []
+        real = cli_module.core_check
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "core_check", counted)
+        path = _write(tmp_path, self.CAPACITATED)
+        report = run_json(capsys, "allocate", path, "--method", method, "--oracle")
+        assert len(calls) == enumerations
+        if method == "nucleolus":
+            assert report["core"] is True
+
     def test_single_market_shapley_values_no_coalition(self, capsys, tmp_path, value_calls):
         n = 16
         doc = {

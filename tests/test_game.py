@@ -21,11 +21,13 @@ from coopshare import (
     min_excess,
     normalize,
     single_market,
+    solve_lp,
     to_single_market,
     value_general,
     value_oracle,
     value_single_market,
 )
+from coopshare.game import _transport_program
 
 
 def _instance(price, cost, demand, capacity=None):
@@ -201,9 +203,10 @@ class TestValueGeneral:
         for _ in range(25):
             inst = random_uncapacitated(rng, rng.randint(1, 4), rng.randint(1, 3))
             s = random_coalition(rng, inst.n)
-            fast = value_general(inst, s)
-            exact = value_general(inst, s, force_lp=True)
-            assert fast == exact
+            members = s.members()
+            rhs = [sum(inst.demand[i - 1][j] for i in members) for j in range(inst.m)]
+            _, lp = _transport_program(inst, members, [], rhs)
+            assert value_general(inst, s) == solve_lp(lp).value
 
     def test_plan_is_feasible_and_worth_the_value(self):
         value, plan = value_general(MULTI, Coalition.full(3), want_plan=True)
@@ -359,6 +362,8 @@ class TestCoreCheck:
 
     def test_single_player(self):
         assert core_check(lambda s: F(7), [F(7)], 1).in_core
+        with pytest.raises(InputError):  # efficiency is checked at n = 1 too
+            core_check(lambda s: F(7), [F(5)], 1)
 
     def test_accepts_allocation_objects(self):
         from coopshare import Allocation, value_oracle

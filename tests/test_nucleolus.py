@@ -9,6 +9,7 @@ from conftest import (
     random_capacitated_integral,
     random_single_market,
     random_uncapacitated,
+    solve_linear_system,
 )
 from coopshare import (
     Coalition,
@@ -38,7 +39,6 @@ from coopshare.ratlp import (
     GE,
     MAX,
     LinearProgram,
-    solve_linear_system,
 )
 
 THIRD = F(1, 3)
@@ -442,6 +442,51 @@ class TestBruteForceOnGeneralGames:
             assert all(lp is program for lp, program in zip(solved, built))
 
 
+class TestBruteForceCoreVerdict:
+    """The brute-force route's in_core, read off the least-core value,
+    agrees with enumerating every coalition at its allocation."""
+
+    @staticmethod
+    def _verdicts(games):
+        verdicts = []
+        for value, n in games:
+            got = nucleolus_bruteforce(value, n)
+            expected = core_check(value, got.values, n).in_core
+            assert got.in_core is expected
+            verdicts.append(expected)
+        return verdicts
+
+    def test_market_games_are_in_the_core(self):
+        rng = random.Random(1969)
+        games = [
+            (value_oracle(make(rng, n, m)), n)
+            for n in range(2, 7) for m in (1, 2, 3)
+            for make in (random_capacitated_integral, random_uncapacitated)
+        ]
+        assert all(self._verdicts(games))
+
+    def test_random_characteristic_functions(self):
+        rng = random.Random(1979)
+        games = []
+        for n in range(2, 7):
+            for _ in range(12):
+                full = (1 << n) - 1
+                if rng.random() < 0.5:  # additive minus a surplus: core nonempty
+                    w = [F(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(n)]
+                    vals = {
+                        m: sum(w[k] for k in range(n) if m >> k & 1)
+                        - (0 if m == full else F(rng.randint(0, 4), rng.randint(1, 3)))
+                        for m in range(1, full + 1)
+                    }
+                else:
+                    vals = {
+                        m: F(rng.randint(-6, 12), rng.randint(1, 4))
+                        for m in range(1, full + 1)
+                    }
+                games.append((lambda s, vals=vals: vals[s.mask], n))
+        assert set(self._verdicts(games)) == {True, False}
+
+
 class TestOracleTriangle:
     def test_mini_corpus(self):
         rng = random.Random(4242)
@@ -510,12 +555,34 @@ class TestMaskSpan:
             n = rng.randint(2, 8)
             ints = _MaskSpan(n)
             fracs = RowSpace()
+            fixed = []
             for _ in range(rng.randint(1, 12)):
                 mask = rng.randrange(1, 1 << n)
                 vec = [mask >> k & 1 for k in range(n)]
+                value = F(rng.randint(-9, 9), rng.randint(1, 4))
                 assert ints.contains(mask) == fracs.contains(vec)
-                assert ints.add(mask) == fracs.add(vec)
+                added = ints.add(mask, value)
+                assert added == fracs.add(vec)
+                if added:
+                    fixed.append((mask, value))
             assert ints.rank == fracs.rank
+            assert list(zip(ints.masks, ints.rhs)) == fixed
+
+    def test_solve_matches_reference_solver(self):
+        rng = random.Random(1968)
+        for n in range(1, 11):
+            for _ in range(8):
+                span = _MaskSpan(n)
+                rows, rhs = [], []
+                while span.rank < n:
+                    with pytest.raises(InternalError):
+                        span.solve()
+                    mask = rng.randrange(1, 1 << n)
+                    value = F(rng.randint(-20, 20), rng.randint(1, 6))
+                    if span.add(mask, value):
+                        rows.append([mask >> k & 1 for k in range(n)])
+                        rhs.append(value)
+                assert span.solve() == solve_linear_system(rows, rhs)
 
 
 def reference_step_size(g, x, epsilon, family):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import RowSpace, assert_optimal_certificate
+from conftest import RowSpace, assert_optimal_certificate, solve_linear_system
 from coopshare import (
     InputError,
     InternalError,
@@ -12,7 +12,7 @@ from coopshare import (
     rat,
     solve_lp,
 )
-from coopshare.ratlp import WarmStart, solve_linear_system
+from coopshare.ratlp import WarmStart
 
 
 def test_rat_parsing():
