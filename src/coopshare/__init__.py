@@ -57,11 +57,9 @@ from .ratlp import (
     solve_lp,
 )
 from .shapley import (
-    ShapleyWeights,
     marginal_contribution,
     shapley_bruteforce,
     shapley_single_market,
-    shapley_weights,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

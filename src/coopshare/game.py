@@ -467,6 +467,38 @@ def value_general(
     return res.value, plan
 
 
+def coalition_table(
+    value: Callable[[Coalition], Fraction], n: int, limit: int, what: str
+) -> tuple[list[int], int]:
+    """Every coalition value of an n-player game, enumerated once for the
+    2^n routes: numerators over one common denominator, indexed by mask
+    (entry 0, the empty coalition, is 0), and that denominator.
+
+    Checks 1 <= n <= limit first; `what` names the route in the error.
+    """
+    if n < 1:
+        raise InputError("need at least one player")
+    if n > limit:
+        raise SizeError(f"{what} is limited to {limit} players, got {n}")
+    table, dens = [0] * (1 << n), [1] * (1 << n)  # plain ints: no 2^n Fractions
+    for mask in range(1, 1 << n):
+        v = rat(value(Coalition(mask)))
+        table[mask], dens[mask] = v.numerator, v.denominator
+    den = lcm(*dens)
+    for mask, d in enumerate(dens):
+        table[mask] *= den // d
+    return table, den
+
+
+def _subset_sums(weights: Sequence[int]) -> list[int]:
+    """x(S) for every mask S, by x(S) = x(S - low bit) + x_low."""
+    sums = [0] * (1 << len(weights))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    return sums
+
+
 def min_excess(
     g: SingleMarketGame, x: Sequence[Fraction]
 ) -> tuple[Coalition, Fraction]:
@@ -522,10 +554,10 @@ def core_check(
     """Test x(S) >= v(S) for every proper coalition.
 
     Single-market games use the polynomial minimum-excess scan (x given
-    in the game's canonical space); anything else enumerates all proper
-    coalitions (guarded at n <= 20) and reports a maximally violated
-    coalition.  x is an Allocation or a plain payoff sequence and must
-    be efficient.
+    in the game's canonical space); anything else reads every coalition
+    from `coalition_table` (guarded at n <= 20) and reports the smallest
+    mask among the most violated coalitions.  x is an Allocation or a
+    plain payoff sequence of length n and must be efficient.
     """
     if isinstance(x, Allocation):
         x = x.values
@@ -540,29 +572,24 @@ def core_check(
 
     if n is None:
         raise InputError("core_check with a value oracle needs the player count")
-    if n > ENUMERATION_LIMIT:
-        raise SizeError(
-            f"core enumeration is limited to {ENUMERATION_LIMIT} players, got {n}"
-        )
+    table, den = coalition_table(v, n, ENUMERATION_LIMIT, "core enumeration")
     x = [rat(c) for c in x]
+    if len(x) != n:
+        raise InputError(f"payoff vector has length {len(x)}, expected {n}")
     full = (1 << n) - 1
-    if sum(x) != v(Coalition(full)):
+    xs, big = _numerators(x, den)  # every excess below is a numerator over big
+    up = big // den
+    if sum(xs) != table[full] * up:
         raise InputError("allocation does not distribute v(N) exactly")
-    worst_mask, worst_excess = None, None
+    sums = _subset_sums(xs)
+    worst_mask, worst_excess = None, 0
     for mask in range(1, full):
-        xs = Fraction(0)
-        mm, k = mask, 0
-        while mm:
-            if mm & 1:
-                xs += x[k]
-            mm >>= 1
-            k += 1
-        excess = xs - v(Coalition(mask))
-        if excess < 0 and (worst_excess is None or excess < worst_excess):
+        excess = sums[mask] - table[mask] * up
+        if excess < worst_excess:
             worst_mask, worst_excess = mask, excess
     if worst_mask is None:
         return CoreCheck(True)
-    return CoreCheck(False, Coalition(worst_mask), worst_excess)
+    return CoreCheck(False, Coalition(worst_mask), Fraction(worst_excess, big))
 
 
 @dataclass(frozen=True)

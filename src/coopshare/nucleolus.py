@@ -9,7 +9,8 @@
   the polynomial `separate` oracle.
 * `nucleolus_bruteforce` — the sequential-LP scheme with every
   coalition constraint materialized; works for any characteristic
-  function given as an oracle.  Exponential; guarded at n <= 12.
+  function given as an oracle, read once into `game.coalition_table`.
+  Exponential; guarded at n <= 12.
 
 Both LP routes run one level loop, `_sequential_lp`, and differ only in
 the rows it starts from and whether cuts are added.  At each level every
@@ -29,8 +30,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
-from .errors import InputError, InternalError, SizeError
-from .game import Allocation, Coalition, SingleMarketGame, value_single_market
+from .errors import InputError, InternalError
+from .game import Allocation, Coalition, SingleMarketGame, coalition_table, value_single_market
 from .ratlp import (
     EQ,
     FREE,
@@ -328,7 +329,15 @@ def separate(
                 f"separation point violates the fixed value of {coalition}"
             )
         span.add(coalition.mask, value)
+    return _separate(g, x, epsilon, span)
 
+
+def _separate(
+    g: SingleMarketGame, x: Sequence[Fraction], epsilon: Fraction, span: _MaskSpan
+) -> Optional[Coalition]:
+    """`separate` at a checked point, with the fixed coalitions already in
+    `span`; the separation route's cut passes its loop's own span."""
+    n = g.n
     for i in range(1, n + 1):
         a = g.alpha[i - 1]
         items = sorted(
@@ -475,8 +484,7 @@ def nucleolus_separation(g: SingleMarketGame) -> Allocation:
         return _canonical_allocation(g, (g.alpha[0],), method)
 
     def cut(x, epsilon, span):
-        fixed = [(Coalition(m), r) for m, r in zip(span.masks, span.rhs)]
-        violated = separate(g, x, epsilon, fixed)
+        violated = _separate(g, x, epsilon, span)
         return None if violated is None else violated.mask
 
     xs, _ = _sequential_lp(
@@ -574,22 +582,16 @@ def nucleolus_bruteforce(
     as the separation route, with no cuts: maximize the worst excess, fix
     the binding coalitions (negative multiplier, outside the span of the
     fixed ones), repeat until one point remains.  Exponential: n <= 12.
+    The loop runs on the integer coalition table, i.e. the game scaled by
+    its denominator, and the nucleolus scales back with it.
     """
-    if n < 1:
-        raise InputError("need at least one player")
-    if n > BRUTE_FORCE_LIMIT:
-        raise SizeError(
-            f"brute-force nucleolus is limited to {BRUTE_FORCE_LIMIT} players, got {n}"
-        )
+    table, den = coalition_table(value, n, BRUTE_FORCE_LIMIT, "brute-force nucleolus")
     method = "nucleolus (brute force)"
-    full = (1 << n) - 1
-    vals = [None] * (full + 1)
-    for mask in range(1, full + 1):
-        vals[mask] = rat(value(Coalition(mask)))
+    total = Fraction(table[-1], den)
     if n == 1:
-        return Allocation((vals[1],), vals[1], method=method, in_core=True)
+        return Allocation((total,), total, method=method, in_core=True)
 
     # the nucleolus's least excess is the least-core value: in the core
-    # iff that is nonnegative
-    xs, least_core = _sequential_lp(n, vals.__getitem__, range(1, full))
-    return Allocation(xs, vals[full], method=method, in_core=least_core >= 0)
+    # iff that is nonnegative, at any positive scale
+    xs, least_core = _sequential_lp(n, table.__getitem__, range(1, len(table) - 1))
+    return Allocation([v / den for v in xs], total, method=method, in_core=least_core >= 0)

@@ -1,42 +1,19 @@
-"""Shapley values: closed form for single-market games plus a subset oracle."""
+"""Shapley values: closed form for single-market games plus a subset oracle
+that reads any characteristic function's integer `game.coalition_table`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from typing import Callable, NamedTuple
 
-from .errors import InputError, SizeError
-from .game import Allocation, Coalition, SingleMarketGame
-from .ratlp import rat
+from .errors import InputError
+from .game import Allocation, Coalition, SingleMarketGame, coalition_table
 
 SUBSET_LIMIT = 10
 
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class ShapleyWeights:
-    """Ordering weights beta_t = (t-1)!(n-t)!/n! for coalition sizes 1..n."""
-
-    n: int
-    beta: tuple[Fraction, ...]
-
-    def of_size(self, t: int) -> Fraction:
-        return self.beta[t - 1]
-
-
-@lru_cache(maxsize=None)
-def shapley_weights(n: int) -> ShapleyWeights:
-    if n < 1:
-        raise InputError("need at least one player")
-    fact = [factorial(k) for k in range(n + 1)]
-    beta = tuple(
-        Fraction(fact[t - 1] * fact[n - t], fact[n]) for t in range(1, n + 1)
-    )
-    return ShapleyWeights(n, beta)
 
 
 def marginal_contribution(g: SingleMarketGame, coalition: Coalition, i: int) -> Fraction:
@@ -158,26 +135,20 @@ def shapley_single_market(g: SingleMarketGame) -> Allocation:
 
 
 def shapley_bruteforce(value: Callable[[Coalition], Fraction], n: int) -> Allocation:
-    """Average marginal contribution by direct subset enumeration (n <= 10)."""
-    if n < 1:
-        raise InputError("need at least one player")
-    if n > SUBSET_LIMIT:
-        raise SizeError(
-            f"brute-force Shapley is limited to {SUBSET_LIMIT} players, got {n}"
-        )
-    full = (1 << n) - 1
-    vals = [_ZERO] * (full + 1)
-    for mask in range(1, full + 1):
-        vals[mask] = rat(value(Coalition(mask)))
-    weights = shapley_weights(n)
+    """Average marginal contribution by direct subset enumeration (n <= 10).
+
+    Each table marginal v(S) - v(S - i) is weighted by the integer
+    (|S|-1)!(n-|S|)!; each player's sum is divided once, by n! * den.
+    """
+    table, den = coalition_table(value, n, SUBSET_LIMIT, "brute-force Shapley")
+    fact = [factorial(k) for k in range(n + 1)]
+    weight = [0] + [fact[t - 1] * fact[n - t] for t in range(1, n + 1)]
     values = []
     for i in range(n):
         bit = 1 << i
-        total = _ZERO
-        for mask in range(1, full + 1):
+        total = 0
+        for mask in range(bit, len(table)):
             if mask & bit:
-                total += weights.of_size(mask.bit_count()) * (
-                    vals[mask] - vals[mask & ~bit]
-                )
-        values.append(total)
-    return Allocation(tuple(values), vals[full], method="shapley (brute force)")
+                total += weight[mask.bit_count()] * (table[mask] - table[mask ^ bit])
+        values.append(Fraction(total, fact[n] * den))
+    return Allocation(values, Fraction(table[-1], den), method="shapley (brute force)")

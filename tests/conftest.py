@@ -1,12 +1,17 @@
 """Shared helpers: seeded random generators, exact LP certificate checks, a
-reference row space and a reference linear solver."""
+reference row space and a reference linear solver, the Shapley ordering
+weights, and Fraction references for the enumerating routes."""
 
 import random
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
+from typing import NamedTuple
 
 from coopshare import (
+    Allocation,
     Coalition,
+    CoreCheck,
     InputError,
     Instance,
     InternalError,
@@ -128,6 +133,59 @@ def solve_linear_system(rows, rhs) -> tuple[Fraction, ...]:
                 g = a[r][col]
                 a[r] = [v - g * w for v, w in zip(a[r], a[col])]
     return tuple(a[r][n] for r in range(n))
+
+
+class ShapleyWeights(NamedTuple):
+    """Ordering weights beta_t = (t-1)!(n-t)!/n! for coalition sizes 1..n."""
+
+    n: int
+    beta: tuple[Fraction, ...]
+
+    def of_size(self, t: int) -> Fraction:
+        return self.beta[t - 1]
+
+
+def shapley_weights(n: int) -> ShapleyWeights:
+    fact = [factorial(k) for k in range(n + 1)]
+    beta = tuple(Fraction(fact[t - 1] * fact[n - t], fact[n]) for t in range(1, n + 1))
+    return ShapleyWeights(n, beta)
+
+
+def random_table_oracle(rng: random.Random, n: int):
+    """A characteristic function read from a random table of rationals."""
+    vals = {m: Fraction(rng.randint(-6, 12), rng.randint(1, 6)) for m in range(1, 1 << n)}
+    return lambda s: vals[s.mask]
+
+
+def reference_core_check(v, x, n) -> CoreCheck:
+    """Core membership by Fraction enumeration, one oracle call per
+    coalition; reports the smallest mask among the most violated."""
+    x = [Fraction(c) for c in x]
+    full = (1 << n) - 1
+    if sum(x) != v(Coalition(full)):
+        raise InputError("allocation does not distribute v(N) exactly")
+    worst_mask, worst_excess = None, None
+    for mask in range(1, full):
+        xs = sum((x[k] for k in range(n) if mask >> k & 1), Fraction(0))
+        excess = xs - v(Coalition(mask))
+        if excess < 0 and (worst_excess is None or excess < worst_excess):
+            worst_mask, worst_excess = mask, excess
+    if worst_mask is None:
+        return CoreCheck(True)
+    return CoreCheck(False, Coalition(worst_mask), worst_excess)
+
+
+def reference_shapley_bruteforce(value, n) -> Allocation:
+    """Average marginal contribution, weighted by beta_|S|, in Fractions."""
+    full = (1 << n) - 1
+    vals = [Fraction(0)] + [Fraction(value(Coalition(m))) for m in range(1, full + 1)]
+    beta = shapley_weights(n).of_size
+    values = tuple(
+        sum((beta(m.bit_count()) * (vals[m] - vals[m & ~(1 << i)])
+             for m in range(1, full + 1) if m >> i & 1), Fraction(0))
+        for i in range(n)
+    )
+    return Allocation(values, vals[full], method="shapley (brute force)")
 
 
 def random_coalition(rng: random.Random, n: int) -> Coalition:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from conftest import (
     random_capacitated_integral,
     random_coalition,
     random_single_market,
+    random_table_oracle,
     random_uncapacitated,
+    reference_core_check,
 )
 from coopshare import (
     Coalition,
@@ -27,7 +30,7 @@ from coopshare import (
     value_oracle,
     value_single_market,
 )
-from coopshare.game import _transport_program
+from coopshare.game import _numerators, _subset_sums, _transport_program, coalition_table
 
 
 def _instance(price, cost, demand, capacity=None):
@@ -384,6 +387,112 @@ class TestCoreCheck:
     def test_enumeration_guard(self):
         with pytest.raises(SizeError):
             core_check(lambda s: F(0), [F(0)] * 21, 21)
+
+    @pytest.mark.parametrize("x, n", [([1, 1, 1, 0], 3), ([F(3)], 3), ([], 0)])
+    def test_oracle_payoff_vector_must_fit_the_players(self, x, n):
+        with pytest.raises(InputError):
+            core_check(lambda s: F(len(s)), x, n)
+
+    def test_matches_fraction_enumeration(self):
+        rng = random.Random(2718)
+        verdicts = set()
+        for trial in range(120):
+            n = rng.randint(1, 7)
+            if trial % 3 == 0:
+                v = value_oracle(random_capacitated_integral(rng, n, rng.randint(1, 3)))
+            else:
+                v = random_table_oracle(rng, n)
+            full = (1 << n) - 1
+            x = [F(rng.randint(-3, 9), rng.randint(1, 4)) for _ in range(n)]
+            x[-1] += v(Coalition(full)) - sum(x)
+            expected = reference_core_check(v, x, n)
+            assert core_check(v, x, n) == expected
+            verdicts.add(expected.in_core)
+        assert verdicts == {True, False}
+
+    def test_planted_ties_resolve_to_the_smallest_mask(self):
+        rng = random.Random(3141)
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            full = (1 << n) - 1
+            x = [F(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(n)]
+
+            def x_of(mask):
+                return sum((x[k] for k in range(n) if mask >> k & 1), F(0))
+
+            worst = F(-rng.randint(1, 5), rng.randint(1, 3))
+            vals = {m: x_of(m) - F(rng.randint(0, 4), 7) for m in range(1, full)}
+            tied = rng.sample(range(1, full), min(3, full - 1))
+            for m in tied:
+                vals[m] = x_of(m) - worst
+            vals[full] = x_of(full)
+            v = lambda s, vals=vals: vals[s.mask]
+            result = core_check(v, x, n)
+            assert result == reference_core_check(v, x, n)
+            assert result.violated == Coalition(min(tied))
+            assert result.excess == worst
+
+
+class TestCoalitionTable:
+    @staticmethod
+    def _assert_table(value, n):
+        table, den = coalition_table(value, n, 8, "test table")
+        assert len(table) == 1 << n and table[0] == 0
+        assert all(isinstance(t, int) for t in table)
+        assert isinstance(den, int) and den >= 1
+        for mask in range(1, 1 << n):
+            assert F(table[mask], den) == value(Coalition(mask)), mask
+        # the least common denominator: no factor of den divides every entry
+        assert gcd(den, *table) == 1
+
+    def test_matches_value_general_and_the_single_market_values(self):
+        rng = random.Random(1969)
+        for n in range(1, 9):
+            m = rng.randint(1, 3)
+            capped = random_capacitated_integral(rng, n, m)
+            fractional = normalize(_instance(
+                [rng.randint(1, 9) for _ in range(m)],
+                [[rng.randint(0, 9) for _ in range(m)] for _ in range(n)],
+                [[F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(m)] for _ in range(n)],
+            ))
+            for inst in (capped, random_uncapacitated(rng, n, m), fractional):
+                self._assert_table(lambda s, inst=inst: value_general(inst, s), n)
+                self._assert_table(value_oracle(inst), n)
+            g = random_single_market(rng, n)
+            self._assert_table(lambda s, g=g: value_single_market(g, s), n)
+
+    def test_guard(self):
+        with pytest.raises(InputError):
+            coalition_table(lambda s: F(1), 0, 8, "test table")
+        with pytest.raises(SizeError, match="^test table is limited to 8 players, got 9$"):
+            coalition_table(lambda s: F(1), 9, 8, "test table")
+
+    def test_each_route_keeps_its_limit_and_message(self):
+        from coopshare import nucleolus_bruteforce, shapley_bruteforce
+
+        routes = [
+            (lambda n: core_check(lambda s: F(0), [F(0)] * n, n), 20, "core enumeration"),
+            (lambda n: shapley_bruteforce(lambda s: F(0), n), 10, "brute-force Shapley"),
+            (lambda n: nucleolus_bruteforce(lambda s: F(0), n), 12, "brute-force nucleolus"),
+        ]
+        for route, limit, what in routes:
+            with pytest.raises(SizeError) as err:
+                route(limit + 1)
+            assert str(err.value) == f"{what} is limited to {limit} players, got {limit + 1}"
+            with pytest.raises(InputError):
+                route(0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=1, max_size=7
+    ))
+    def test_subset_sums_match_fraction_sums(self, x):
+        nums, den = _numerators(x)
+        sums = _subset_sums(nums)
+        assert len(sums) == 1 << len(x)
+        for mask in range(1 << len(x)):
+            members = Coalition(mask).members()
+            assert F(sums[mask], den) == sum((x[p - 1] for p in members), F(0))
 
 
 class TestGameProperties:

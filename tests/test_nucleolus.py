@@ -254,6 +254,31 @@ class TestSeparate:
         assert hits > 20 and misses > 20
 
 
+class TestSeparationCut:
+    def test_cut_matches_public_separate(self, monkeypatch):
+        """The route's cut reads the loop's span; public `separate` rebuilds
+        it from the fixed list.  Both find the same coalition."""
+        calls = []
+        real = nucleolus_module._separate
+
+        def spy(g, x, epsilon, span):
+            found = real(g, x, epsilon, span)
+            fixed = [(Coalition(m), r) for m, r in zip(span.masks, span.rhs)]
+            calls.append((g, list(x), epsilon, fixed, found))
+            return found
+
+        monkeypatch.setattr(nucleolus_module, "_separate", spy)
+        rng = random.Random(1607)
+        for n in range(2, 11):
+            for _ in range(2):
+                nucleolus_separation(random_single_market(rng, n))
+        monkeypatch.undo()
+        assert {len(c[1]) for c in calls} == set(range(2, 11))
+        assert any(c[4] is None for c in calls) and any(c[4] for c in calls)
+        for g, x, epsilon, fixed, found in calls:
+            assert separate(g, x, epsilon, fixed) == found
+
+
 class TestSeparationScheme:
     def test_matches_primal_dual_on_examples(self):
         for alpha, share in [

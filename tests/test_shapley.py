@@ -4,7 +4,13 @@ from math import comb
 
 import pytest
 
-from conftest import random_single_market
+from conftest import (
+    random_capacitated_integral,
+    random_single_market,
+    random_table_oracle,
+    reference_shapley_bruteforce,
+    shapley_weights,
+)
 from coopshare import (
     Coalition,
     InputError,
@@ -12,8 +18,8 @@ from coopshare import (
     marginal_contribution,
     shapley_bruteforce,
     shapley_single_market,
-    shapley_weights,
     single_market,
+    value_oracle,
     value_single_market,
 )
 
@@ -142,6 +148,20 @@ class TestBruteForce:
     def test_size_guard(self):
         with pytest.raises(SizeError):
             shapley_bruteforce(lambda s: F(0), 11)
+
+    def test_matches_fraction_enumeration(self):
+        rng = random.Random(1953)
+        for trial in range(60):
+            n = rng.randint(1, 7)
+            if trial % 3 == 0:
+                v = value_oracle(random_capacitated_integral(rng, n, rng.randint(1, 3)))
+            elif trial % 3 == 1:
+                v = oracle_of(random_single_market(rng, n))
+            else:
+                v = random_table_oracle(rng, n)
+            got, expected = shapley_bruteforce(v, n), reference_shapley_bruteforce(v, n)
+            assert (got.values, got.total, got.method) == (
+                expected.values, expected.total, expected.method)
 
 
 def reference_shapley(g):
