@@ -490,13 +490,19 @@ def coalition_table(
     return table, den
 
 
-def _subset_sums(weights: Sequence[int]) -> list[int]:
-    """x(S) for every mask S, by x(S) = x(S - low bit) + x_low."""
-    sums = [0] * (1 << len(weights))
+def excesses(table: Sequence[int], den: int, x: Sequence[Fraction]) -> tuple[list[int], int]:
+    """x(S) - v(S) for every mask S of a coalition table over `den`, as
+    numerators over the least common multiple of den and x's denominators,
+    and that multiple.  x(S) comes from x(S) = x(S - low bit) + x_low."""
+    xs, big = _numerators(x, den)
+    up = big // den
+    sums = [0] * len(table)
     for mask in range(1, len(sums)):
         low = mask & -mask
-        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
-    return sums
+        sums[mask] = sums[mask ^ low] + xs[low.bit_length() - 1]
+    for mask, t in enumerate(table):
+        sums[mask] -= t * up
+    return sums, big
 
 
 def min_excess(
@@ -576,17 +582,13 @@ def core_check(
     x = [rat(c) for c in x]
     if len(x) != n:
         raise InputError(f"payoff vector has length {len(x)}, expected {n}")
-    full = (1 << n) - 1
-    xs, big = _numerators(x, den)  # every excess below is a numerator over big
-    up = big // den
-    if sum(xs) != table[full] * up:
+    excess, big = excesses(table, den, x)
+    if excess[-1]:
         raise InputError("allocation does not distribute v(N) exactly")
-    sums = _subset_sums(xs)
     worst_mask, worst_excess = None, 0
-    for mask in range(1, full):
-        excess = sums[mask] - table[mask] * up
-        if excess < worst_excess:
-            worst_mask, worst_excess = mask, excess
+    for mask in range(1, len(excess) - 1):
+        if excess[mask] < worst_excess:
+            worst_mask, worst_excess = mask, excess[mask]
     if worst_mask is None:
         return CoreCheck(True)
     return CoreCheck(False, Coalition(worst_mask), Fraction(worst_excess, big))

@@ -7,16 +7,16 @@
 * `nucleolus_separation` — cutting-plane variant: each lexicographic
   level is solved as a small LP with violated coalitions generated by
   the polynomial `separate` oracle.
-* `nucleolus_bruteforce` — the sequential-LP scheme with every
-  coalition constraint materialized; works for any characteristic
-  function given as an oracle, read once into `game.coalition_table`.
-  Exponential; guarded at n <= 12.
+* `nucleolus_bruteforce` — the same levels for any characteristic
+  function given as an oracle, read once into `game.coalition_table`;
+  its cuts are the most violated coalitions found by scanning that
+  table.  Exponential; guarded at n <= 12.
 
-Both LP routes run one level loop, `_sequential_lp`, and differ only in
-the rows it starts from and whether cuts are added.  At each level every
-binding coalition (negative multiplier, linearly independent of the
-already-fixed ones) is fixed, so at most n - 1 level programs are solved
-per game, plus the re-solves after cuts.
+Both LP routes run one level loop, `_sequential_lp`, from the singletons
+and differ only in their cut.  At each level every binding coalition
+(negative multiplier, linearly independent of the already-fixed ones) is
+fixed, so at most n - 1 levels are solved per game, each plus the
+re-solves after its cuts.
 
 All three agree exactly; the brute-force route is the ground truth the
 fast routes are tested against.
@@ -27,21 +27,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InternalError
-from .game import Allocation, Coalition, SingleMarketGame, coalition_table, value_single_market
-from .ratlp import (
-    EQ,
-    FREE,
-    GE,
-    MAX,
-    OPTIMAL,
-    LinearProgram,
-    rat,
-    solve_lp,
-)
+from .game import (Allocation, Coalition, SingleMarketGame, coalition_table, excesses,
+                   value_single_market)
+from .ratlp import EQ, FREE, GE, MAX, OPTIMAL, LinearProgram, rat, solve_lp
 
 BRUTE_FORCE_LIMIT = 12
 
@@ -413,29 +406,33 @@ def _level_program(n: int, masks: Sequence[int], values, span) -> LinearProgram:
 def _sequential_lp(
     n: int,
     value: Callable[[int], Fraction],
-    rows: Sequence[int],
-    cut: Optional[Callable[..., Optional[int]]] = None,
+    cut: Callable[..., Sequence[int]],
 ) -> tuple[tuple[Fraction, ...], Fraction]:
     """The sequential-LP loop both LP routes run; returns the nucleolus and
     the first level's value, the least-core value epsilon_1.
 
-    `value(mask)` is v(S) and `rows` are the coalitions the level programs
-    start from.  When given, `cut(x, epsilon, span)` returns a coalition
-    violated at the level optimum, or None; the level is re-solved with
-    each cut added.
+    `value(mask)` is v(S).  The level programs start from the singletons;
+    `cut(x, epsilon, span)` returns coalitions outside the span violated
+    at the level optimum, x(S) - v(S) < epsilon, and the level is
+    re-solved with them added until it returns none.  Then no coalition
+    outside the span is violated, so the restricted optimum is feasible,
+    hence optimal, for the level program over every such coalition, and
+    its dual padded with zeros is an optimal dual of that program: the
+    binding rows fixed below are ones the full program could fix.
 
     Every row with a negative multiplier is tight on the whole optimal
     face (complementary slackness), so each one outside the span of the
     fixed rows is fixed at v(S) + epsilon_k.  The multipliers on the
     epsilon column sum to -1, so some row is fixed at every level and the
     rank grows: at most n - 1 levels.  The fixed system then pins the
-    nucleolus, read off the span's echelon rows.
+    nucleolus, read off the span's echelon rows.  Every proper coalition
+    lies outside span{N}, so epsilon_1 is the least-core value.
     """
     full = (1 << n) - 1
-    values = {m: value(m) for m in (full, *rows)}
+    pool = [1 << k for k in range(n)]
+    values = {m: value(m) for m in (full, *pool)}
     span = _MaskSpan(n)
     span.add(full, values[full])
-    pool = list(rows)
     cut_guard = 2 << n
     levels = []
 
@@ -448,13 +445,11 @@ def _sequential_lp(
             if res.status != OPTIMAL:
                 raise InternalError(f"level program ended {res.status}")
             level_value = res.x[n]
-            if cut is None:
-                break
             violated = cut(res.x[:n], level_value, span)
-            if violated is None:
+            if not violated:
                 break
-            pool.append(violated)
-            values[violated] = value(violated)
+            pool.extend(violated)
+            values.update((m, value(m)) for m in violated)
         levels.append(level_value)
 
         rank = span.rank
@@ -485,14 +480,9 @@ def nucleolus_separation(g: SingleMarketGame) -> Allocation:
 
     def cut(x, epsilon, span):
         violated = _separate(g, x, epsilon, span)
-        return None if violated is None else violated.mask
+        return () if violated is None else (violated.mask,)
 
-    xs, _ = _sequential_lp(
-        n,
-        lambda m: value_single_market(g, Coalition(m)),
-        [1 << k for k in range(n)],
-        cut,
-    )
+    xs, _ = _sequential_lp(n, lambda m: value_single_market(g, Coalition(m)), cut)
     return _canonical_allocation(g, xs, method)
 
 
@@ -518,9 +508,6 @@ class _MaskSpan:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _vec(self, mask: int) -> list[int]:
-        return [mask >> k & 1 for k in range(self.n)]
-
     def _residual(self, v: list) -> list:
         for row, p in zip(self._rows, self._pivots):
             if v[p]:
@@ -529,7 +516,7 @@ class _MaskSpan:
         return v
 
     def contains(self, mask: int) -> bool:
-        return not any(self._residual(self._vec(mask)))
+        return not any(self._residual(_chi(mask, self.n)))
 
     @staticmethod
     def _normalized(v: list) -> list:
@@ -542,7 +529,7 @@ class _MaskSpan:
     def add(self, mask: int, value: Fraction) -> bool:
         """Fix x(S) = value unless S is already in the span; True if the
         rank grew."""
-        v = self._residual([*self._vec(mask), value])
+        v = self._residual([*_chi(mask, self.n), value])
         p = next((k for k in range(self.n) if v[k]), None)
         if p is None:
             return False
@@ -578,12 +565,14 @@ def nucleolus_bruteforce(
 ) -> Allocation:
     """Sequential-LP nucleolus for an arbitrary characteristic function.
 
-    Materializes every coalition constraint and runs the same level loop
-    as the separation route, with no cuts: maximize the worst excess, fix
-    the binding coalitions (negative multiplier, outside the span of the
-    fixed ones), repeat until one point remains.  Exponential: n <= 12.
-    The loop runs on the integer coalition table, i.e. the game scaled by
-    its denominator, and the nucleolus scales back with it.
+    Runs the same level loop as the separation route: maximize the worst
+    excess, fix the binding coalitions (negative multiplier, outside the
+    span of the fixed ones), repeat until one point remains.  Its cut
+    scans every coalition's excess in the table and returns up to 4n of
+    the most violated ones outside the span, least excess first, ties to
+    the smaller mask.  Exponential: n <= 12.  The loop runs on the
+    integer coalition table, i.e. the game scaled by its denominator, and
+    the nucleolus scales back with it.
     """
     table, den = coalition_table(value, n, BRUTE_FORCE_LIMIT, "brute-force nucleolus")
     method = "nucleolus (brute force)"
@@ -591,7 +580,13 @@ def nucleolus_bruteforce(
     if n == 1:
         return Allocation((total,), total, method=method, in_core=True)
 
+    def cut(x, epsilon, span):
+        excess, big = excesses(table, 1, x)
+        bound = -(-epsilon.numerator * big // epsilon.denominator)  # ceil(epsilon * big)
+        violated = sorted((e, m) for m, e in enumerate(excess) if e < bound)
+        return list(islice((m for _, m in violated if not span.contains(m)), 4 * n))
+
     # the nucleolus's least excess is the least-core value: in the core
     # iff that is nonnegative, at any positive scale
-    xs, least_core = _sequential_lp(n, table.__getitem__, range(1, len(table) - 1))
+    xs, least_core = _sequential_lp(n, table.__getitem__, cut)
     return Allocation([v / den for v in xs], total, method=method, in_core=least_core >= 0)

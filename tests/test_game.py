@@ -30,7 +30,7 @@ from coopshare import (
     value_oracle,
     value_single_market,
 )
-from coopshare.game import _numerators, _subset_sums, _transport_program, coalition_table
+from coopshare.game import _transport_program, coalition_table, excesses
 
 
 def _instance(price, cost, demand, capacity=None):
@@ -485,14 +485,20 @@ class TestCoalitionTable:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(
         st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=1, max_size=7
-    ))
-    def test_subset_sums_match_fraction_sums(self, x):
-        nums, den = _numerators(x)
-        sums = _subset_sums(nums)
-        assert len(sums) == 1 << len(x)
-        for mask in range(1 << len(x)):
+    ), st.integers(min_value=1, max_value=12), st.data())
+    def test_subset_sums_match_fraction_sums(self, x, den, data):
+        """`excesses` builds x(S) by the low-bit recurrence in integers;
+        x(S) - v(S) equals the Fraction sum minus the table's value."""
+        size = 1 << len(x)
+        table = [0] + data.draw(st.lists(
+            st.integers(min_value=-50, max_value=50), min_size=size - 1, max_size=size - 1
+        ))
+        excess, big = excesses(table, den, x)
+        assert len(excess) == size and big % den == 0
+        for mask in range(size):
             members = Coalition(mask).members()
-            assert F(sums[mask], den) == sum((x[p - 1] for p in members), F(0))
+            x_s = sum((x[p - 1] for p in members), F(0))
+            assert F(excess[mask], big) == x_s - F(table[mask], den)
 
 
 class TestGameProperties:

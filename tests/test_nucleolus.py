@@ -8,6 +8,7 @@ from conftest import (
     assert_optimal_certificate,
     random_capacitated_integral,
     random_single_market,
+    random_table_oracle,
     random_uncapacitated,
     solve_linear_system,
 )
@@ -291,6 +292,10 @@ class TestSeparationScheme:
             assert nucleolus_separation(g) == nucleolus_primal_dual(g)
 
 
+def _holds_cut_rows(lp):
+    return any(rel == GE and sum(row[:-1]) > 1 for row, rel in zip(lp.rows, lp.relations))
+
+
 class TestLevelProgramCertificates:
     def test_both_orientations_certify_the_routes_programs(self, monkeypatch):
         # level programs are degenerate, with many rows and only free
@@ -305,15 +310,20 @@ class TestLevelProgramCertificates:
 
         monkeypatch.setattr(nucleolus_module, "_level_program", recorded)
         rng = random.Random(2604)
+        with_cuts = {"separation": False, "brute force": False}
         for n in range(4, 8):
             g = random_single_market(rng, n)
-            for route in (
-                lambda: nucleolus_separation(g),
-                lambda: nucleolus_bruteforce(oracle_of(g), n),
+            for name, route in (
+                ("separation", lambda: nucleolus_separation(g)),
+                ("brute force", lambda: nucleolus_bruteforce(oracle_of(g), n)),
             ):
                 before = len(programs)
                 route()
                 assert len(programs) > before
+                with_cuts[name] |= any(map(_holds_cut_rows, programs[before:]))
+        # both routes start from the singletons, so a row of size 2 or
+        # more came from a cut
+        assert all(with_cuts.values())
         for lp in programs:
             for orientation in ("primal", "dual"):
                 res = solve_lp(lp, orientation=orientation)
@@ -435,9 +445,32 @@ class TestBruteForceOnGeneralGames:
                         games += 1
         assert games == 40
 
+    def test_matches_reference_where_many_rows_bind(self):
+        """Arbitrary characteristic functions, and market games past the
+        sizes above: the lazy rows reach the reference's nucleolus."""
+        rng = random.Random(1995)
+        games = [(random_table_oracle(rng, n), n) for n in range(2, 10) for _ in range(2)]
+        games += [
+            (value_oracle(make(rng, n, m)), n)
+            for n in (7, 8) for m in (2, 3)
+            for make in (random_capacitated_integral, random_uncapacitated)
+        ]
+        for value, n in games:
+            assert nucleolus_bruteforce(value, n).values == reference_bruteforce(value, n)
+
+    def test_matches_primal_dual_up_to_the_guard(self):
+        rng = random.Random(1997)
+        for n in range(9, 13):
+            for _ in range(2):
+                g = random_single_market(rng, n)
+                assert nucleolus_bruteforce(oracle_of(g), n) == nucleolus_primal_dual(g)
+
     def test_level_programs_only_and_at_most_n_minus_1(self, monkeypatch):
-        built, solved = [], []
+        """Every solved program is a level program, and at most n - 1 of
+        them end a level: the solves after which the cut finds nothing."""
+        built, solved, cuts = [], [], []
         real_build, real_solve = nucleolus_module._level_program, nucleolus_module.solve_lp
+        real_loop = nucleolus_module._sequential_lp
 
         def build(*args):
             lp = real_build(*args)
@@ -448,8 +481,17 @@ class TestBruteForceOnGeneralGames:
             solved.append(lp)
             return real_solve(lp, *args, **kwargs)
 
+        def loop(n, value, cut):
+            def recorded(*args):
+                found = cut(*args)
+                cuts.append(len(found))
+                return found
+
+            return real_loop(n, value, recorded)
+
         monkeypatch.setattr(nucleolus_module, "_level_program", build)
         monkeypatch.setattr(nucleolus_module, "solve_lp", solve)
+        monkeypatch.setattr(nucleolus_module, "_sequential_lp", loop)
         rng = random.Random(4096)
         oracles = [
             (oracle_of(random_single_market(rng, n)), n)
@@ -461,10 +503,33 @@ class TestBruteForceOnGeneralGames:
         for value, n in oracles:
             built.clear()
             solved.clear()
+            cuts.clear()
             nucleolus_bruteforce(value, n)
-            assert 1 <= len(solved) <= n - 1
+            assert len(cuts) == len(solved)
+            assert 1 <= cuts.count(0) <= n - 1
+            assert cuts[-1] == 0
             assert len(solved) == len(built)
             assert all(lp is program for lp, program in zip(solved, built))
+
+    def test_level_programs_never_hold_every_coalition(self, monkeypatch):
+        """The level programs start from the singletons and grow by cuts;
+        none of them holds all 2^n - 2 coalition rows."""
+        rows = []
+        real = nucleolus_module._level_program
+
+        def build(n, masks, values, span):
+            rows.append(len(masks))
+            return real(n, masks, values, span)
+
+        monkeypatch.setattr(nucleolus_module, "_level_program", build)
+        rng = random.Random(1995)
+        n = 10
+        for make in (random_capacitated_integral, random_uncapacitated):
+            for m in (2, 3):
+                rows.clear()
+                value = value_oracle(make(rng, n, m))
+                assert nucleolus_bruteforce(value, n).in_core
+                assert rows and max(rows) < (1 << n) - 2
 
 
 class TestBruteForceCoreVerdict:
