@@ -5,8 +5,8 @@
   avoiding the strongest player goes tight, fix it, repeat.  At most
   n - 1 rounds, no LP solves.
 * `nucleolus_separation` — cutting-plane variant: each lexicographic
-  level is solved as a small LP with violated coalitions generated by
-  the polynomial `separate` oracle.
+  level is solved on one warm dual tableau, where the violated coalitions
+  that the polynomial `separate` oracle finds enter as columns.
 * `nucleolus_bruteforce` — the same levels for any characteristic
   function given as an oracle, read once into `game.coalition_table`;
   its cuts are the most violated coalitions found by scanning that
@@ -15,8 +15,8 @@
 Both LP routes run one level loop, `_sequential_lp`, from the singletons
 and differ only in their cut.  At each level every binding coalition
 (negative multiplier, linearly independent of the already-fixed ones) is
-fixed, so at most n - 1 levels are solved per game, each plus the
-re-solves after its cuts.
+fixed, so at most n - 1 levels are solved per game, each on one warm
+`ratlp.LazyRows` tableau that re-solves from its last basis after a cut.
 
 All three agree exactly; the brute-force route is the ground truth the
 fast routes are tested against.
@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 from .errors import InputError, InternalError
 from .game import (Allocation, Coalition, SingleMarketGame, coalition_table, excesses,
                    value_single_market)
-from .ratlp import EQ, FREE, GE, MAX, OPTIMAL, LinearProgram, rat, solve_lp
+from .ratlp import OPTIMAL, LazyRows, rat
 
 BRUTE_FORCE_LIMIT = 12
 
@@ -387,22 +387,6 @@ def _separate(
     return None
 
 
-def _level_program(n: int, masks: Sequence[int], values, span) -> LinearProgram:
-    """max epsilon s.t. x(S) - epsilon >= v(S) for S in masks, x(T) = r_T for
-    the coalitions fixed in `span`; variables x_1..x_n, epsilon, all free.
-
-    `values[mask]` is v(S).  Both LP routes solve their levels through this
-    one program.
-    """
-    rows = tuple(_chi(m, n) + (-1,) for m in masks) + tuple(
-        _chi(m, n) + (0,) for m in span.masks
-    )
-    rels = (GE,) * len(masks) + (EQ,) * len(span.masks)
-    rhs = tuple(values[m] for m in masks) + tuple(span.rhs)
-    objective = (0,) * n + (1,)
-    return LinearProgram(MAX, objective, rows, rels, rhs, (FREE,) * (n + 1))
-
-
 def _sequential_lp(
     n: int,
     value: Callable[[int], Fraction],
@@ -411,14 +395,17 @@ def _sequential_lp(
     """The sequential-LP loop both LP routes run; returns the nucleolus and
     the first level's value, the least-core value epsilon_1.
 
-    `value(mask)` is v(S).  The level programs start from the singletons;
+    `value(mask)` is v(S).  A level, max epsilon s.t. x(S) - epsilon >=
+    v(S) for the pool and x(T) = r_T for the fixed coalitions, is one
+    `LazyRows` tableau that starts from the pool left outside the span.
     `cut(x, epsilon, span)` returns coalitions outside the span violated
-    at the level optimum, x(S) - v(S) < epsilon, and the level is
-    re-solved with them added until it returns none.  Then no coalition
-    outside the span is violated, so the restricted optimum is feasible,
-    hence optimal, for the level program over every such coalition, and
-    its dual padded with zeros is an optimal dual of that program: the
-    binding rows fixed below are ones the full program could fix.
+    at the level optimum, x(S) - v(S) < epsilon; they enter the tableau
+    as columns, and the level is re-solved from its last basis until the
+    cut returns none.  Then no coalition outside the span is violated, so
+    the restricted optimum is feasible, hence optimal, for the level
+    program over every such coalition, and its dual padded with zeros is
+    an optimal dual of that program: the binding rows fixed below are
+    ones the full program could fix.
 
     Every row with a negative multiplier is tight on the whole optimal
     face (complementary slackness), so each one outside the span of the
@@ -436,12 +423,17 @@ def _sequential_lp(
     cut_guard = 2 << n
     levels = []
 
+    def rows(masks):
+        return [(_chi(m, n) + (-1,), values[m]) for m in masks]
+
     while span.rank < n:  # the rank grows every round, or the round raises
         pool = [m for m in pool if not span.contains(m)]
+        fixed = [(_chi(m, n) + (0,), r) for m, r in zip(span.masks, span.rhs)]
+        level = LazyRows((0,) * n + (1,), fixed, rows(pool))
         while True:
             if len(pool) > cut_guard:
                 raise InternalError("cutting-plane pool grew past its guard")
-            res = solve_lp(_level_program(n, pool, values, span))
+            res = level.solve()
             if res.status != OPTIMAL:
                 raise InternalError(f"level program ended {res.status}")
             level_value = res.x[n]
@@ -450,6 +442,7 @@ def _sequential_lp(
                 break
             pool.extend(violated)
             values.update((m, value(m)) for m in violated)
+            level.add(rows(violated))
         levels.append(level_value)
 
         rank = span.rank

@@ -11,6 +11,10 @@ For programs with many more constraints than variables the solver
 pivots on the dual program instead and maps the certified optimum back;
 the returned primal solution is still a basic (vertex) solution and the
 returned duals still certify optimality exactly.
+
+`WarmStart` re-solves a program for new right-hand sides; `LazyRows` solves
+the dual of a program whose `>=` rows arrive in batches (the nucleolus
+levels), each row a new column, each re-solve resuming from the last basis.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalError
@@ -496,6 +500,67 @@ class WarmStart:
         return can.sense_sign * Fraction(-tab.mat[-1][-1], tab.div * can.obj_scale)
 
 
+class LazyRows:
+    """max c.x over free x subject to equality rows and `>=` rows that arrive
+    in batches, solved on the tableau of its dual, where each row is a
+    column: min b.w - b.u s.t. sum w_t a_t - sum u_i a_i = c, u >= 0, w free.
+
+    c never changes, so a new column keeps the basis feasible: `add` prices
+    it from the start (artificial) columns, which hold div * B^-1, and the
+    cost row's start entries, -div * x, rescaling that row when a cost's
+    denominator needs it; `solve` resumes phase-2 primal simplex.  c must
+    be integer and nonnegative, the rows integer, and the first rows of
+    full column rank and bounding the program.
+    """
+
+    def __init__(self, objective, equalities, rows):
+        eqs, rows = list(equalities), list(rows)
+        cols = [a for a, _ in eqs] + [[-v for v in a] for a, _ in rows]
+        dual = LinearProgram(MIN, tuple(b for _, b in eqs) + tuple(-b for _, b in rows),
+                             tuple(zip(*cols)), (EQ,) * len(objective), tuple(objective),
+                             (FREE,) * len(eqs) + (NONNEG,) * len(rows))
+        can = _Canonical(dual)
+        status, tab = _two_phase(can)
+        if status == INFEASIBLE or set(tab.basis) & set(can.art_cols) or any(
+                k != 1 for k in can.row_mult):
+            raise InternalError("lazy rows need integer c >= 0, full-rank rows bounding c.x")
+        del tab.mat[tab.m]  # the phase-1 cost row is not needed again
+        # columns: a (+, -) pair per equality, then the >= rows as they arrive
+        self._tab, self._scale, self._first, self._start = (
+            tab, can.obj_scale, 2 * len(eqs), can.n_struct)
+
+    def add(self, rows) -> None:
+        """Append `>=` rows (coefficients, right-hand side) as dual columns."""
+        tab = self._tab
+        for a, b in rows:
+            up = b.denominator // gcd(b.denominator, self._scale)
+            if up > 1:
+                tab.mat[-1] = [v * up for v in tab.mat[-1]]
+                self._scale *= up
+            start = self._start
+            col = [(start + i, -v) for i, v in enumerate(a) if v]
+            for row in tab.mat:
+                row.insert(start, sum(row[i] * v for i, v in col))
+            tab.mat[-1][start] -= tab.div * (b * self._scale).numerator
+            self._start += 1
+
+    def solve(self) -> LpResult:
+        """The optimum over every row added so far: x, its value, duals (one
+        per `>=` row in order of arrival, then one per equality) and tight
+        rows, read off the dual's tableau."""
+        tab, first, start = self._tab, self._first, self._start
+        if tab.run(tab.m, start) != OPTIMAL:
+            return LpResult(INFEASIBLE)  # the dual is unbounded
+        cost, scale, zero = tab.mat[-1], tab.div * self._scale, Fraction(0)
+        basic = {c: Fraction(tab.mat[r][-1], tab.div) for r, c in enumerate(tab.basis)}
+        z = [basic.get(c, zero) for c in range(start)]
+        return LpResult(
+            OPTIMAL, Fraction(-cost[-1], scale),
+            tuple(Fraction(-cost[start + i], scale) for i in range(tab.m)),
+            tuple([-u for u in z[first:]] + [z[t] - z[t + 1] for t in range(0, first, 2)]),
+            tuple(v == 0 for v in cost[first:start]) + (True,) * (first // 2))
+
+
 # ---------------------------------------------------------------------------
 # dual construction
 # ---------------------------------------------------------------------------
@@ -549,7 +614,8 @@ def solve_lp(lp: LinearProgram, orientation: str = "auto") -> LpResult:
     """Solve an LP exactly; deterministic for identical input.
 
     `orientation` picks the tableau the simplex pivots on: "primal",
-    "dual", or "auto" (dual when constraints far outnumber variables).
+    "dual", or "auto" (dual when constraints far outnumber variables); a
+    program without constraints is always solved on its own tableau.
     Either orientation certifies the program as given, and reads the
     tight rows off its final tableau.
     """
@@ -557,10 +623,10 @@ def solve_lp(lp: LinearProgram, orientation: str = "auto") -> LpResult:
         raise InputError("solve_lp expects a LinearProgram")
     if orientation not in ("auto", "primal", "dual"):
         raise InputError(f"unknown orientation {orientation!r}")
-    use_dual = orientation == "dual" or (
+    use_dual = lp.num_rows > 0 and (orientation == "dual" or (
         orientation == "auto"
         and lp.num_rows >= max(16, 2 * max(lp.num_vars, 1))
-    )
+    ))
     if not use_dual:
         return _solve_primal(lp)[0]
 

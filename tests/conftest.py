@@ -1,6 +1,7 @@
-"""Shared helpers: seeded random generators, exact LP certificate checks, a
-reference row space and a reference linear solver, the Shapley ordering
-weights, and Fraction references for the enumerating routes."""
+"""Shared helpers: seeded random generators, exact LP certificate checks, the
+nucleolus level program, a reference row space and a reference linear
+solver, the Shapley ordering weights, and Fraction references for the
+enumerating routes."""
 
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from coopshare import (
     normalize,
     single_market,
 )
+from coopshare.ratlp import EQ, FREE, GE, MAX, LinearProgram
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SINGLE_MARKET_FIXTURE = FIXTURES / "single_market_demo.json"
@@ -74,6 +76,19 @@ def random_capacitated_integral(rng: random.Random, n: int, m: int):
         tuple(capacity),
     )
     return normalize(inst)
+
+
+def level_program(n, masks, values, fixed) -> LinearProgram:
+    """max epsilon s.t. x(S) - epsilon >= v(S) for S in masks, x(T) = r_T for
+    (T, r_T) in fixed; variables x_1..x_n, epsilon, all free.  The program
+    the nucleolus level loop solves on its warm dual tableau."""
+    def chi(mask):
+        return tuple(mask >> k & 1 for k in range(n))
+
+    rows = tuple(chi(m) + (-1,) for m in masks) + tuple(chi(t) + (0,) for t, _ in fixed)
+    rels = (GE,) * len(masks) + (EQ,) * len(fixed)
+    rhs = tuple(values[m] for m in masks) + tuple(r for _, r in fixed)
+    return LinearProgram(MAX, (0,) * n + (1,), rows, rels, rhs, (FREE,) * (n + 1))
 
 
 class RowSpace:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import (
     RowSpace,
     assert_optimal_certificate,
+    level_program,
     random_capacitated_integral,
     random_single_market,
     random_table_oracle,
@@ -39,6 +41,7 @@ from coopshare.ratlp import (
     FREE,
     GE,
     MAX,
+    LazyRows,
     LinearProgram,
 )
 
@@ -296,19 +299,62 @@ def _holds_cut_rows(lp):
     return any(rel == GE and sum(row[:-1]) > 1 for row, rel in zip(lp.rows, lp.relations))
 
 
+class Level:
+    """One level of the loop as its warm tableau saw it: the fixed
+    coalitions (mask, r_T), the pool masks in order of arrival with their
+    values, and every solve as (pool size then, result)."""
+
+    def __init__(self, n, fixed):
+        self.n, self.fixed = n, fixed
+        self.pool, self.values, self.solves = [], {}, []
+
+    def programs(self):
+        """Each solve's result with the level program it solved."""
+        for size, res in self.solves:
+            yield level_program(self.n, self.pool[:size], self.values, self.fixed), res
+
+
+def record_levels(monkeypatch) -> list:
+    """Patch the level loop's tableau to record every level it solves."""
+    levels = []
+
+    def mask_of(coeffs):
+        return sum(1 << k for k, a in enumerate(coeffs[:-1]) if a)
+
+    class Recorded(LazyRows):
+        def __init__(self, objective, equalities, rows):
+            equalities, rows = list(equalities), list(rows)
+            super().__init__(objective, equalities, rows)
+            self.level = Level(len(objective) - 1, [(mask_of(a), r) for a, r in equalities])
+            levels.append(self.level)
+            self._note(rows)
+
+        def _note(self, rows):
+            for a, v in rows:
+                self.level.pool.append(mask_of(a))
+                self.level.values[mask_of(a)] = v
+
+        def add(self, rows):
+            rows = list(rows)
+            super().add(rows)
+            self._note(rows)
+
+        def solve(self):
+            res = super().solve()
+            self.level.solves.append((len(self.level.pool), res))
+            return res
+
+    monkeypatch.setattr(nucleolus_module, "LazyRows", Recorded)
+    return levels
+
+
 class TestLevelProgramCertificates:
     def test_both_orientations_certify_the_routes_programs(self, monkeypatch):
         # level programs are degenerate, with many rows and only free
-        # variables; the separation route reads res.tight off them
-        programs = []
-        real = nucleolus_module._level_program
-
-        def recorded(*args):
-            lp = real(*args)
-            programs.append(lp)
-            return lp
-
-        monkeypatch.setattr(nucleolus_module, "_level_program", recorded)
+        # variables; the separation route reads res.tight off them.  Every
+        # warm solve is certified against the program it stands for, which
+        # `solve_lp` also certifies in both orientations.
+        levels = record_levels(monkeypatch)
         rng = random.Random(2604)
         with_cuts = {"separation": False, "brute force": False}
         for n in range(4, 8):
@@ -317,17 +363,20 @@ class TestLevelProgramCertificates:
                 ("separation", lambda: nucleolus_separation(g)),
                 ("brute force", lambda: nucleolus_bruteforce(oracle_of(g), n)),
             ):
-                before = len(programs)
+                before = len(levels)
                 route()
-                assert len(programs) > before
-                with_cuts[name] |= any(map(_holds_cut_rows, programs[before:]))
+                assert len(levels) > before
+                with_cuts[name] |= any(_holds_cut_rows(lp) for level in levels[before:]
+                                       for lp, _ in level.programs())
         # both routes start from the singletons, so a row of size 2 or
         # more came from a cut
         assert all(with_cuts.values())
-        for lp in programs:
-            for orientation in ("primal", "dual"):
-                res = solve_lp(lp, orientation=orientation)
-                assert_optimal_certificate(lp, res)
+        for level in levels:
+            for lp, warm in level.programs():
+                assert_optimal_certificate(lp, warm)
+                for orientation in ("primal", "dual"):
+                    res = solve_lp(lp, orientation=orientation)
+                    assert_optimal_certificate(lp, res)
 
 
 class TestBruteForce:
@@ -466,20 +515,12 @@ class TestBruteForceOnGeneralGames:
                 assert nucleolus_bruteforce(oracle_of(g), n) == nucleolus_primal_dual(g)
 
     def test_level_programs_only_and_at_most_n_minus_1(self, monkeypatch):
-        """Every solved program is a level program, and at most n - 1 of
-        them end a level: the solves after which the cut finds nothing."""
-        built, solved, cuts = [], [], []
-        real_build, real_solve = nucleolus_module._level_program, nucleolus_module.solve_lp
+        """The level loop solves only on its warm tableaus, never through
+        `solve_lp`, and at most n - 1 of its solves end a level: the solves
+        after which the cut finds nothing."""
+        levels = record_levels(monkeypatch)
+        cuts, lp_calls, in_loop = [], [], []
         real_loop = nucleolus_module._sequential_lp
-
-        def build(*args):
-            lp = real_build(*args)
-            built.append(lp)
-            return lp
-
-        def solve(lp, *args, **kwargs):
-            solved.append(lp)
-            return real_solve(lp, *args, **kwargs)
 
         def loop(n, value, cut):
             def recorded(*args):
@@ -487,10 +528,21 @@ class TestBruteForceOnGeneralGames:
                 cuts.append(len(found))
                 return found
 
-            return real_loop(n, value, recorded)
+            in_loop.append(True)
+            try:
+                return real_loop(n, value, recorded)
+            finally:
+                in_loop.pop()
 
-        monkeypatch.setattr(nucleolus_module, "_level_program", build)
-        monkeypatch.setattr(nucleolus_module, "solve_lp", solve)
+        for module in list(sys.modules.values()):
+            real_solve = getattr(module, "solve_lp", None)
+            if module.__name__.startswith("coopshare") and real_solve is not None:
+                def solve(lp, *args, real_solve=real_solve, **kwargs):
+                    if in_loop:
+                        lp_calls.append(lp)
+                    return real_solve(lp, *args, **kwargs)
+
+                monkeypatch.setattr(module, "solve_lp", solve)
         monkeypatch.setattr(nucleolus_module, "_sequential_lp", loop)
         rng = random.Random(4096)
         oracles = [
@@ -501,35 +553,28 @@ class TestBruteForceOnGeneralGames:
             for n in range(2, 7) for _ in range(3)
         ]
         for value, n in oracles:
-            built.clear()
-            solved.clear()
+            levels.clear()
             cuts.clear()
             nucleolus_bruteforce(value, n)
-            assert len(cuts) == len(solved)
+            assert len(cuts) == sum(len(level.solves) for level in levels)
             assert 1 <= cuts.count(0) <= n - 1
+            assert cuts.count(0) == len(levels)
             assert cuts[-1] == 0
-            assert len(solved) == len(built)
-            assert all(lp is program for lp, program in zip(solved, built))
+        assert not hasattr(nucleolus_module, "solve_lp")
+        assert not lp_calls
 
     def test_level_programs_never_hold_every_coalition(self, monkeypatch):
         """The level programs start from the singletons and grow by cuts;
-        none of them holds all 2^n - 2 coalition rows."""
-        rows = []
-        real = nucleolus_module._level_program
-
-        def build(n, masks, values, span):
-            rows.append(len(masks))
-            return real(n, masks, values, span)
-
-        monkeypatch.setattr(nucleolus_module, "_level_program", build)
+        no level's tableau holds all 2^n - 2 coalitions as pool columns."""
+        levels = record_levels(monkeypatch)
         rng = random.Random(1995)
         n = 10
         for make in (random_capacitated_integral, random_uncapacitated):
             for m in (2, 3):
-                rows.clear()
+                levels.clear()
                 value = value_oracle(make(rng, n, m))
                 assert nucleolus_bruteforce(value, n).in_core
-                assert rows and max(rows) < (1 << n) - 2
+                assert levels and max(len(level.pool) for level in levels) < (1 << n) - 2
 
 
 class TestBruteForceCoreVerdict:

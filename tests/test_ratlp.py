@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import RowSpace, assert_optimal_certificate, solve_linear_system
+from conftest import RowSpace, assert_optimal_certificate, level_program, solve_linear_system
 from coopshare import (
     InputError,
     InternalError,
@@ -12,7 +14,7 @@ from coopshare import (
     rat,
     solve_lp,
 )
-from coopshare.ratlp import WarmStart
+from coopshare.ratlp import LazyRows, WarmStart
 
 
 def test_rat_parsing():
@@ -245,6 +247,78 @@ def test_warm_start_refusals():
         WarmStart(linear_program("max", [1], [([1], "=", 1), ([1], "=", 1)]))
     with pytest.raises(InternalError):
         WarmStart(linear_program("max", [1], [([1], "<=", "1/2")]))
+
+
+def _level_rows(n, masks, eps, values):
+    return [(tuple(m >> k & 1 for k in range(n)) + (eps,), values[m]) for m in masks]
+
+
+def _assert_grows_to_cold_optima(n, fixed, pool, extra, values):
+    """Start the level tableau from `pool`, add `extra` one row at a time and
+    compare every re-solve with a cold solve of the program so far."""
+    lazy = LazyRows((0,) * n + (1,), _level_rows(n, [t for t, _ in fixed], 0, dict(fixed)),
+                    _level_rows(n, pool, -1, values))
+    rows = list(pool)
+    for m in [None, *extra]:
+        if m is not None:
+            lazy.add(_level_rows(n, [m], -1, values))
+            rows.append(m)
+        res = lazy.solve()
+        lp = level_program(n, rows, values, fixed)
+        assert res.value == solve_lp(lp).value
+        assert_optimal_certificate(lp, res)
+    return lazy
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_lazy_rows_match_cold_solves(n, data):
+    """Nucleolus level programs: x(N) and up to n - 2 more coalitions fixed,
+    the singletons outside their span as the first rows, then drawn
+    coalitions added one at a time."""
+    full = (1 << n) - 1
+    value = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+    space = RowSpace()
+
+    def chi(mask):
+        return [mask >> k & 1 for k in range(n)]
+
+    fixed = []
+    for t in [full, *data.draw(st.lists(st.integers(1, full - 1), max_size=n - 2))]:
+        if space.add(chi(t)):
+            fixed.append((t, data.draw(value)))
+    pool = [1 << k for k in range(n) if not space.contains(chi(1 << k))]
+    extra = [m for m in data.draw(st.lists(st.integers(1, full - 1), unique=True, max_size=10))
+             if m not in pool and not space.contains(chi(m))]
+    values = {m: data.draw(value) for m in pool + extra}
+    _assert_grows_to_cold_optima(n, fixed, pool, extra, values)
+
+
+def test_lazy_rows_rescale_the_cost_row():
+    # integer first rows, then violated rows with costs over 3 and over 7:
+    # each new denominator multiplies the cost row's scale
+    values = {1: 0, 2: 0, 4: 0, 3: F(4, 3), 6: F(9, 7)}
+    lazy = _assert_grows_to_cold_optima(3, [(7, F(1))], [1, 2, 4], [3, 6], values)
+    assert lazy._scale == 21
+
+
+def test_lazy_rows_refusals():
+    with pytest.raises(InternalError):  # x_2 is not bounded by the rows
+        LazyRows((0, 1), [], [((1, 0), 0)])
+    with pytest.raises(InternalError):  # a negative objective entry
+        LazyRows((0, -1), [((1, 0), 1)], [((1, -1), 0)])
+    # an infeasible program: its dual is unbounded
+    lazy = LazyRows((0, 1), [((1, 0), 1)], [((1, -1), 0)])
+    lazy.add([((1, 0), 2)])
+    assert lazy.solve().status == "infeasible"
+
+
+def test_programs_without_rows_in_both_orientations():
+    for objective, status, value in (([0], "optimal", 0), ([1], "unbounded", None)):
+        lp = linear_program("max", objective, [])
+        results = [solve_lp(lp, orientation=o) for o in ("auto", "primal", "dual")]
+        assert results[0].status == status and results[0].value == value
+        assert results[1:] == results[:-1]
 
 
 def test_solve_linear_system():
