@@ -33,8 +33,8 @@ from .multimarket import (
     shapley_multimarket,
     sum_of_nucleoli,
 )
-from .nucleolus import nucleolus_bruteforce, nucleolus_primal_dual
-from .shapley import shapley_bruteforce
+from .nucleolus import BRUTE_FORCE_LIMIT, nucleolus_bruteforce, nucleolus_primal_dual
+from .shapley import SUBSET_LIMIT, shapley_bruteforce
 
 METHODS = ("nucleolus", "shapley", "sum-nucleoli", "core-point")
 
@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_alloc)
     p_alloc.add_argument("--method", required=True, choices=METHODS)
     p_alloc.add_argument("--oracle", action="store_true",
-                         help="force the exponential oracle route")
+                         help="nucleolus or shapley from all 2^n coalition values")
     p_alloc.add_argument("--trace", action="store_true",
                          help="log each fixing round of the fast nucleolus")
 
@@ -173,6 +173,8 @@ def cmd_allocate(args) -> dict:
         raise InputError(
             "--trace needs the fast nucleolus on a single-market instance"
         )
+    if args.oracle and args.method not in ("nucleolus", "shapley"):
+        raise InputError(f"--oracle needs --method nucleolus or shapley, not {args.method}")
     oracle = value_oracle(inst)
     trace_steps = None
 
@@ -185,17 +187,17 @@ def cmd_allocate(args) -> dict:
         else:
             raise InputError(
                 "the fast nucleolus needs one market and unlimited capacities; "
-                "use --oracle (n <= 12) or --method sum-nucleoli"
+                f"use --oracle (n <= {BRUTE_FORCE_LIMIT}) or --method sum-nucleoli"
             )
     elif args.method == "shapley":
-        if dec is not None:
-            alloc = shapley_multimarket(dec)
-        elif args.oracle:
+        if args.oracle:
             alloc = shapley_bruteforce(oracle, inst.n)
+        elif dec is not None:
+            alloc = shapley_multimarket(dec)
         else:
             raise InputError(
                 "the closed-form Shapley value needs unlimited capacities; "
-                "use --oracle (n <= 10)"
+                f"use --oracle (n <= {SUBSET_LIMIT})"
             )
     else:
         if dec is None:

@@ -398,22 +398,18 @@ class _CappedValues:
 def value_oracle(inst: NormalizedInstance) -> Callable[[Coalition], Fraction]:
     """Characteristic function of the full game, in original units.
 
-    Each coalition is valued once per oracle; repeats are read back by mask.
-    Coalitions with a capped member are re-solved from the last optimal
-    basis of one program over all players; the rest use the closed form.
+    Keeps no values: a caller that reads a coalition twice builds a
+    `coalition_table` once.  Coalitions with a capped member are re-solved
+    from the last optimal basis of one program over all players; the rest
+    use the closed form.
     """
-    values: dict[int, Fraction] = {}
     capped = sum(1 << i for i, q in enumerate(inst.capacity) if q is not None)
     program = _CappedValues(inst) if capped else None
 
     def v(coalition: Coalition) -> Fraction:
-        mask = coalition.mask
-        if mask not in values:
-            if mask & capped and not mask >> inst.n:
-                values[mask] = program.value(coalition)
-            else:
-                values[mask] = value_general(inst, coalition)
-        return values[mask]
+        if coalition.mask & capped and not coalition.mask >> inst.n:
+            return program.value(coalition)
+        return value_general(inst, coalition)
 
     return v
 

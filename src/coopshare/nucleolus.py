@@ -411,9 +411,12 @@ def _sequential_lp(
     face (complementary slackness), so each one outside the span of the
     fixed rows is fixed at v(S) + epsilon_k.  The multipliers on the
     epsilon column sum to -1, so some row is fixed at every level and the
-    rank grows: at most n - 1 levels.  The fixed system then pins the
-    nucleolus, read off the span's echelon rows.  Every proper coalition
-    lies outside span{N}, so epsilon_1 is the least-core value.
+    rank grows: at most n - 1 levels.  The last level's optimum is the
+    nucleolus: it meets every earlier fixed equality, it is tight on
+    every row fixed at that level (checked below), and those rows raise
+    the rank to n, so it is the one solution of the fixed system.  Every
+    proper coalition lies outside span{N}, so epsilon_1 is the least-core
+    value.
     """
     full = (1 << n) - 1
     pool = [1 << k for k in range(n)]
@@ -456,7 +459,7 @@ def _sequential_lp(
         if span.rank == rank:
             raise InternalError("no binding independent coalition to fix")
 
-    return span.solve(), levels[0]
+    return res.x[:n], levels[0]
 
 
 def nucleolus_separation(g: SingleMarketGame) -> Allocation:
@@ -480,28 +483,28 @@ def nucleolus_separation(g: SingleMarketGame) -> Allocation:
 
 
 class _MaskSpan:
-    """Rational span of coalition characteristic vectors, each added
-    coalition pinned at a value: the fixed system x(S) = r_S.
+    """Rational span of the fixed coalitions' characteristic vectors; it
+    only answers membership.
 
-    Pure integer reduced-echelon arithmetic on the masks; rows are
-    gcd-normalized and zeroed at each other's pivots, so membership tests
-    never divide.  Each row carries one more, rational, entry: the same
-    combination of the values.  `masks` and `rhs` list the coalitions that
-    raised the rank, with their values.
+    Pure integer echelon arithmetic on the masks; each row is zero at the
+    earlier rows' pivots and divided by its gcd, so membership tests never
+    divide.  `masks` and `rhs` list the coalitions that raised the rank
+    with their values, the fixed system x(S) = r_S that the next level's
+    equality rows are built from.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.masks: list[int] = []
         self.rhs: list[Fraction] = []
-        self._rows: list[list] = []
+        self._rows: list[list[int]] = []
         self._pivots: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _residual(self, v: list) -> list:
+    def _residual(self, v: list[int]) -> list[int]:
         for row, p in zip(self._rows, self._pivots):
             if v[p]:
                 f, g = row[p], v[p]
@@ -511,41 +514,19 @@ class _MaskSpan:
     def contains(self, mask: int) -> bool:
         return not any(self._residual(_chi(mask, self.n)))
 
-    @staticmethod
-    def _normalized(v: list) -> list:
-        # divide the integer part by its gcd and the value entry alike
-        shrink = gcd(*v[:-1])
-        if shrink > 1:
-            v = [a // shrink for a in v[:-1]] + [Fraction(v[-1], shrink)]
-        return v
-
     def add(self, mask: int, value: Fraction) -> bool:
         """Fix x(S) = value unless S is already in the span; True if the
         rank grew."""
-        v = self._residual([*_chi(mask, self.n), value])
+        v = self._residual(_chi(mask, self.n))
         p = next((k for k in range(self.n) if v[k]), None)
         if p is None:
             return False
-        if v[p] < 0:
-            v = [-a for a in v]
-        v = self._normalized(v)
-        for i, row in enumerate(self._rows):
-            if row[p]:
-                f, g = v[p], row[p]
-                self._rows[i] = self._normalized([a * f - g * b for a, b in zip(row, v)])
-        self._rows.append(v)
+        shrink = gcd(*v)
+        self._rows.append([a // shrink for a in v])
         self._pivots.append(p)
         self.masks.append(mask)
         self.rhs.append(value)
         return True
-
-    def solve(self) -> tuple[Fraction, ...]:
-        """The one point of the fixed system, once the rank is n: the
-        reduced-echelon rows are then diagonal, so x_p = r / row[p]."""
-        if self.rank < self.n:
-            raise InternalError("the fixed coalitions do not pin a single point")
-        return tuple(Fraction(row[-1], row[p])
-                     for p, row in sorted(zip(self._pivots, self._rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from math import factorial, lcm
 from typing import Callable, NamedTuple
 
 from .errors import InputError
-from .game import Allocation, Coalition, SingleMarketGame, coalition_table
+from .game import Allocation, Coalition, SingleMarketGame, coalition_table, excesses
 
 SUBSET_LIMIT = 10
 
@@ -139,6 +139,8 @@ def shapley_bruteforce(value: Callable[[Coalition], Fraction], n: int) -> Alloca
 
     Each table marginal v(S) - v(S - i) is weighted by the integer
     (|S|-1)!(n-|S|)!; each player's sum is divided once, by n! * den.
+    The value is in the core iff every proper coalition's excess on the
+    same table is nonnegative.
     """
     table, den = coalition_table(value, n, SUBSET_LIMIT, "brute-force Shapley")
     fact = [factorial(k) for k in range(n + 1)]
@@ -151,4 +153,6 @@ def shapley_bruteforce(value: Callable[[Coalition], Fraction], n: int) -> Alloca
             if mask & bit:
                 total += weight[mask.bit_count()] * (table[mask] - table[mask ^ bit])
         values.append(Fraction(total, fact[n] * den))
-    return Allocation(values, Fraction(table[-1], den), method="shapley (brute force)")
+    in_core = min(excesses(table, den, values)[0][1:-1], default=0) >= 0
+    return Allocation(values, Fraction(table[-1], den), method="shapley (brute force)",
+                      in_core=in_core)

@@ -25,6 +25,7 @@ from coopshare.ratlp import EQ, FREE, GE, MAX, LinearProgram
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SINGLE_MARKET_FIXTURE = FIXTURES / "single_market_demo.json"
 MULTI_MARKET_FIXTURE = FIXTURES / "multi_market_demo.json"
+CAPACITATED_FIXTURE = FIXTURES / "capacitated_demo.json"
 
 
 def random_single_market(rng: random.Random, n: int) -> SingleMarketGame:

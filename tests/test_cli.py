@@ -4,13 +4,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import MULTI_MARKET_FIXTURE, SINGLE_MARKET_FIXTURE, random_uncapacitated
+from conftest import (
+    CAPACITATED_FIXTURE,
+    MULTI_MARKET_FIXTURE,
+    SINGLE_MARKET_FIXTURE,
+    random_uncapacitated,
+)
 from coopshare import (
     Allocation,
     InputError,
     core_check,
     dumps_instance,
     loads_instance,
+    normalize,
     parse_instance,
     to_single_market,
     value_oracle,
@@ -19,6 +25,9 @@ from coopshare import cli as cli_module
 from coopshare import game as game_module
 from coopshare.cli import main
 from coopshare.files import decimal_string
+from coopshare.game import ENUMERATION_LIMIT
+from coopshare.nucleolus import BRUTE_FORCE_LIMIT
+from coopshare.shapley import SUBSET_LIMIT
 
 
 def run(capsys, *argv):
@@ -35,6 +44,7 @@ def run_json(capsys, *argv):
 
 SM = str(SINGLE_MARKET_FIXTURE)
 MM = str(MULTI_MARKET_FIXTURE)
+CAP = str(CAPACITATED_FIXTURE)
 
 
 class TestInstanceFiles:
@@ -167,6 +177,33 @@ class TestAllocateCommand:
         code, _, err = run(capsys, "allocate", MM, "--method", "nucleolus")
         assert code == 2
         assert "--oracle" in err
+        assert f"--oracle (n <= {BRUTE_FORCE_LIMIT})" in err
+
+    def test_oracle_shapley_enumerates_every_instance(self, capsys, tmp_path):
+        # additivity: brute force equals the per-market sum on the demo
+        report = run_json(capsys, "allocate", MM, "--method", "shapley", "--oracle")
+        assert report["method"] == "shapley (brute force)"
+        assert [e["exact"] for e in report["allocation"]] == ["10/3", "4/3", "4/3"]
+        assert report["core"] is True
+        n = SUBSET_LIMIT + 1
+        doc = {
+            "players": [f"p{i}" for i in range(n)],
+            "markets": [{"name": "m", "price": 5}],
+            "cost": [[i % 4] for i in range(n)],
+            "demand": [[1] for _ in range(n)],
+            "capacity": ["inf"] * n,
+        }
+        path = _write(tmp_path, doc)
+        assert run(capsys, "allocate", path, "--method", "shapley")[0] == 0
+        code, out, err = run(capsys, "allocate", path, "--method", "shapley", "--oracle")
+        assert (code, out) == (3, "")
+        assert err == f"error: brute-force Shapley is limited to {SUBSET_LIMIT} players, got {n}\n"
+
+    @pytest.mark.parametrize("method", ["sum-nucleoli", "core-point"])
+    def test_oracle_rejected_without_an_enumerating_route(self, capsys, method):
+        code, out, err = run(capsys, "allocate", MM, "--method", method, "--oracle")
+        assert (code, out) == (2, "")
+        assert err == f"error: --oracle needs --method nucleolus or shapley, not {method}\n"
 
     def test_trace(self, capsys):
         report = run_json(
@@ -237,6 +274,7 @@ class TestAllocateCommand:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "allocate", str(path), "--method", "shapley")
         assert code == 2
+        assert f"--oracle (n <= {SUBSET_LIMIT})" in err
         report = run_json(
             capsys, "allocate", str(path), "--method", "shapley", "--oracle"
         )
@@ -458,12 +496,13 @@ class TestOracleCalls:
         assert len(value_calls) == 2**5 - 1
         assert len(set(value_calls)) == 2**5 - 1
 
-    @pytest.mark.parametrize("method, enumerations", [("nucleolus", 0), ("shapley", 1)])
+    @pytest.mark.parametrize("method, enumerations", [("nucleolus", 0), ("shapley", 0)])
     def test_core_flag_enumerates_only_without_a_route_verdict(
         self, capsys, tmp_path, monkeypatch, method, enumerations
     ):
-        # the brute-force nucleolus decides its own core flag from the
-        # least-core value; Shapley's flag still enumerates coalitions
+        # both brute-force routes decide their own core flag on the table
+        # they already hold: the nucleolus from the least-core value,
+        # Shapley from every proper excess
         calls = []
         real = cli_module.core_check
 
@@ -475,6 +514,10 @@ class TestOracleCalls:
         path = _write(tmp_path, self.CAPACITATED)
         report = run_json(capsys, "allocate", path, "--method", method, "--oracle")
         assert len(calls) == enumerations
+        monkeypatch.undo()
+        inst = normalize(parse_instance(path))
+        phi = [F(e["exact"]) for e in report["allocation"]]
+        assert report["core"] is core_check(value_oracle(inst), phi, inst.n).in_core
         if method == "nucleolus":
             assert report["core"] is True
 
@@ -523,3 +566,82 @@ class TestCoreFlag:
                 assert sum(x[p - 1] for p in members) - oracle(result.violated) == result.excess
             verdicts.add(expected.in_core)
         assert verdicts == {True, False}
+
+
+class TestHumanReports:
+    """The plain-text reports, line for line."""
+
+    def test_value_with_plan(self, capsys):
+        code, out, err = run(capsys, "value", CAP, "--coalition", "all", "--plan")
+        assert (code, err) == (0, "")
+        assert out == (
+            "coalition: A, B, C, D\n"
+            "value: 44 (= 44.000000)\n"
+            "plan A: M1 <- 4\n"
+            "plan B: M2 <- 3\n"
+            "plan C: M2 <- 3\n"
+            "plan D: M1 <- 2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "method, expected",
+        [
+            ("nucleolus", "in core: yes\n"),
+            ("shapley", "in core: NO\nviolated coalition: A, C\nexcess: -1/3 (= -0.333333)\n"),
+        ],
+    )
+    def test_check_in_and_out_of_the_core(self, capsys, tmp_path, method, expected):
+        report = run_json(capsys, "allocate", CAP, "--method", method, "--oracle")
+        path = tmp_path / "alloc.json"
+        path.write_text(json.dumps([e["exact"] for e in report["allocation"]]))
+        assert run(capsys, "check", CAP, str(path)) == (0, expected, "")
+
+    def test_trace_rounds(self, capsys, tmp_path):
+        path = _write(tmp_path, {
+            "players": ["a", "b", "c", "d"],
+            "markets": [{"name": "m", "price": 10}],
+            "cost": [[1], [3], [6], [8]],
+            "demand": [[1], [2], [3], [2]],
+            "capacity": ["inf"] * 4,
+        })
+        assert run(capsys, "allocate", path, "--method", "nucleolus", "--trace", "--exact") == (
+            0,
+            "method: nucleolus (primal-dual)\n"
+            "v(N): 72\n"
+            "core: yes\n"
+            "  a  18\n"
+            "  b  16\n"
+            "  c  23\n"
+            "  d  15\n"
+            "round 1: step 1/4, level 1/4, fixed {b}, set {b}\n"
+            "round 2: step 1/8, level 3/8, fixed {b,d}, set {b,d}\n"
+            "round 3: step 1/8, level 1/2, fixed {b,c}, set {b,c,d}\n",
+            "",
+        )
+
+    def test_core_not_checked_past_the_enumeration_limit(self, capsys, tmp_path):
+        n = ENUMERATION_LIMIT + 1
+        path = _write(tmp_path, {
+            "players": [f"p{i}" for i in range(n)],
+            "markets": [{"name": "m1", "price": 9}, {"name": "m2", "price": 7}],
+            "cost": [[i % 5, i % 3] for i in range(n)],
+            "demand": [[1, i % 2] for i in range(n)],
+            "capacity": ["inf"] * n,
+        })
+        code, out, err = run(capsys, "allocate", path, "--method", "shapley")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:3] == [
+            "method: shapley (per-market sum)",
+            "v(N): 259 (= 259.000000)",  # 9 * 21 + 7 * 10
+            "core: not checked",
+        ]
+        assert len(out.splitlines()) == 3 + n
+
+    @pytest.mark.parametrize("method", ["sum-nucleoli", "core-point"])
+    def test_decomposition_routes_refuse_capacities(self, capsys, method):
+        assert run(capsys, "allocate", CAP, "--method", method) == (
+            2,
+            "",
+            "error: market decomposition needs unlimited capacities; for finite "
+            "capacities use the brute-force allocation routes (--oracle)\n",
+        )

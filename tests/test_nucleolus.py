@@ -35,6 +35,7 @@ from coopshare import (
     value_single_market,
 )
 from coopshare import nucleolus as nucleolus_module
+from coopshare.game import coalition_table
 from coopshare.nucleolus import FixedFamily, _MaskSpan, improving_direction
 from coopshare.ratlp import (
     EQ,
@@ -346,6 +347,27 @@ def record_levels(monkeypatch) -> list:
 
     monkeypatch.setattr(nucleolus_module, "LazyRows", Recorded)
     return levels
+
+
+def record_spans(monkeypatch) -> list:
+    """Patch the level loop to record each run's final span with the point
+    it returns, as (span, point)."""
+    runs, spans = [], []
+    real = nucleolus_module._sequential_lp
+
+    class Recorded(_MaskSpan):
+        def __init__(self, n):
+            super().__init__(n)
+            spans.append(self)
+
+    def loop(n, value, cut):
+        point, least_core = real(n, value, cut)
+        runs.append((spans[-1], point))
+        return point, least_core
+
+    monkeypatch.setattr(nucleolus_module, "_MaskSpan", Recorded)
+    monkeypatch.setattr(nucleolus_module, "_sequential_lp", loop)
+    return runs
 
 
 class TestLevelProgramCertificates:
@@ -703,21 +725,27 @@ class TestMaskSpan:
             assert ints.rank == fracs.rank
             assert list(zip(ints.masks, ints.rhs)) == fixed
 
-    def test_solve_matches_reference_solver(self):
+    def test_final_span_pins_the_routes_point(self, monkeypatch):
+        """Each LP route returns its last level's optimum, which is the one
+        solution of the fixed system its span recorded."""
+        runs = record_spans(monkeypatch)
         rng = random.Random(1968)
-        for n in range(1, 11):
-            for _ in range(8):
-                span = _MaskSpan(n)
-                rows, rhs = [], []
-                while span.rank < n:
-                    with pytest.raises(InternalError):
-                        span.solve()
-                    mask = rng.randrange(1, 1 << n)
-                    value = F(rng.randint(-20, 20), rng.randint(1, 6))
-                    if span.add(mask, value):
-                        rows.append([mask >> k & 1 for k in range(n)])
-                        rhs.append(value)
-                assert span.solve() == solve_linear_system(rows, rhs)
+        for n in range(2, 11):
+            for _ in range(3):
+                g = random_single_market(rng, n)
+                assert nucleolus_separation(g).values == g.to_original(runs[-1][1])
+        for n in range(2, 8):
+            for value in (random_table_oracle(rng, n),
+                          value_oracle(random_capacitated_integral(rng, n, 2)),
+                          value_oracle(random_uncapacitated(rng, n, 3))):
+                _, den = coalition_table(value, n, n, "test table")
+                got = nucleolus_bruteforce(value, n).values
+                assert got == tuple(v / den for v in runs[-1][1])
+        assert len(runs) == 27 + 18
+        for span, point in runs:
+            assert span.rank == span.n == len(point)
+            rows = [[m >> k & 1 for k in range(span.n)] for m in span.masks]
+            assert point == solve_linear_system(rows, span.rhs)
 
 
 def reference_step_size(g, x, epsilon, family):

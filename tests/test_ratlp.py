@@ -75,18 +75,20 @@ def test_worst_excess_program_three_player():
         assert_optimal_certificate(lp, res)
 
 
-def test_statuses():
-    assert solve_lp(linear_program("max", [1], [([1], "<=", 1), ([1], ">=", 2)])).status == "infeasible"
-    assert solve_lp(linear_program("max", [1], [([1], ">=", 3)])).status == "unbounded"
-    assert solve_lp(linear_program("min", [1], [([1], ">=", 3)])).value == 3
+@pytest.mark.parametrize("orientation", ["auto", "primal", "dual"])
+def test_statuses(orientation):
+    # on the dual tableau an infeasible program has an unbounded dual, and
+    # an unbounded one an infeasible dual, settled on the primal tableau
+    def solve(*args, **kwargs):
+        return solve_lp(linear_program(*args, **kwargs), orientation=orientation)
+
+    assert solve("max", [1], [([1], "<=", 1), ([1], ">=", 2)]).status == "infeasible"
+    assert solve("max", [1], [([1], ">=", 3)]).status == "unbounded"
+    assert solve("min", [1], [([1], ">=", 3)]).value == 3
     # negative right-hand side exercises the row-flip path
-    res = solve_lp(linear_program("min", [1, 1], [([-1, -1], "<=", -2)]))
-    assert res.value == 2
+    assert solve("min", [1, 1], [([-1, -1], "<=", -2)]).value == 2
     # free variable can go negative
-    res = solve_lp(
-        linear_program("min", [1], [([1], ">=", -5)], domains=["free"])
-    )
-    assert res.value == -5
+    assert solve("min", [1], [([1], ">=", -5)], domains=["free"]).value == -5
 
 
 def test_determinism():

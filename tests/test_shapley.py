@@ -8,6 +8,7 @@ from conftest import (
     random_capacitated_integral,
     random_single_market,
     random_table_oracle,
+    random_uncapacitated,
     reference_shapley_bruteforce,
     shapley_weights,
 )
@@ -15,6 +16,7 @@ from coopshare import (
     Coalition,
     InputError,
     SizeError,
+    core_check,
     marginal_contribution,
     shapley_bruteforce,
     shapley_single_market,
@@ -148,6 +150,24 @@ class TestBruteForce:
     def test_size_guard(self):
         with pytest.raises(SizeError):
             shapley_bruteforce(lambda s: F(0), 11)
+
+    def test_core_verdict_matches_enumeration(self):
+        # the route reads every proper excess off its own table
+        rng = random.Random(1969)
+        makers = {
+            "capacitated": lambda n: value_oracle(random_capacitated_integral(rng, n, 2)),
+            "uncapacitated": lambda n: value_oracle(random_uncapacitated(rng, n, 2)),
+            "table": lambda n: random_table_oracle(rng, n),
+        }
+        verdicts = {kind: set() for kind in makers}
+        for trial in range(120):
+            kind = list(makers)[trial % 3]
+            n = rng.randint(1, 7)
+            v = makers[kind](n)
+            got = shapley_bruteforce(v, n)
+            assert got.in_core == core_check(v, got.values, n).in_core
+            verdicts[kind].add(got.in_core)
+        assert all(seen == {True, False} for seen in verdicts.values()), verdicts
 
     def test_matches_fraction_enumeration(self):
         rng = random.Random(1953)
