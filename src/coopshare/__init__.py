@@ -38,9 +38,6 @@ from .multimarket import (
     sum_of_nucleoli,
 )
 from .nucleolus import (
-    FixedFamily,
-    ImprovingDirection,
-    SchemeState,
     TraceStep,
     nucleolus_bruteforce,
     nucleolus_primal_dual,

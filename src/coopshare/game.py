@@ -77,12 +77,6 @@ class Coalition:
     def minus(self, other: "Coalition") -> "Coalition":
         return Coalition(self.mask & ~other.mask)
 
-    def is_subset_of(self, other: "Coalition") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def complement(self, n: int) -> "Coalition":
-        return Coalition(((1 << n) - 1) & ~self.mask)
-
     def __str__(self) -> str:
         return "{" + ",".join(str(p) for p in self.members()) + "}"
 

@@ -34,7 +34,7 @@ def decompose(inst: NormalizedInstance) -> MarketDecomposition:
     if not inst.uncapacitated:
         raise UnsupportedModeError(
             "market decomposition needs unlimited capacities; for finite "
-            "capacities use the brute-force allocation routes (--oracle)"
+            "capacities use --method nucleolus --oracle or --method shapley --oracle"
         )
     markets, games, best = [], [], []
     for j in range(inst.m):

@@ -3,7 +3,8 @@
 * `nucleolus_primal_dual` — combinatorial algorithm for canonical
   single-market games: walk an improving direction until a coalition
   avoiding the strongest player goes tight, fix it, repeat.  At most
-  n - 1 rounds, no LP solves.
+  n - 1 rounds, no LP solves; the round state is integers over one
+  common denominator and the fixed set is a bitmask.
 * `nucleolus_separation` — cutting-plane variant: each lexicographic
   level is solved on one warm dual tableau, where the violated coalitions
   that the polynomial `separate` oracle finds enter as columns.
@@ -41,120 +42,42 @@ BRUTE_FORCE_LIMIT = 12
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class FixedFamily:
-    """The family of coalitions pinned by a fixed set F not containing 1.
-
-    A coalition belongs to the family iff it is a subset of F or a
-    superset of the complement of F; membership is O(n).
-    """
-
-    fixed: Coalition
-    n: int
-
-    def __post_init__(self):
-        if 1 in self.fixed:
-            raise InternalError("player 1 can never enter the fixed set")
-        if self.fixed.mask >> self.n:
-            raise InputError("fixed set exceeds the player count")
-
-    def contains(self, coalition: Coalition) -> bool:
-        if coalition.is_subset_of(self.fixed):
-            return True
-        complement = self.fixed.complement(self.n)
-        return complement.is_subset_of(coalition)
-
-    @property
-    def complete(self) -> bool:
-        return len(self.fixed) == self.n - 1
-
-
-@dataclass(frozen=True)
-class ImprovingDirection:
+def improving_direction(fixed: Coalition, n: int) -> tuple[int, ...]:
     """Direction raising the level: +|unfixed - 1| on player 1, -1 on the
     other unfixed players, 0 on fixed ones; preserves efficiency."""
-
-    delta: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.delta) != 0:
-            raise InternalError("improving direction must preserve efficiency")
-
-
-def improving_direction(family: FixedFamily) -> ImprovingDirection:
-    n = family.n
-    fixed = family.fixed
     delta = [-1] * n
     delta[0] = n - 1 - len(fixed)
     for p in fixed.members():
         delta[p - 1] = 0
-    direction = ImprovingDirection(tuple(delta))
+    if sum(delta) != 0:
+        raise InternalError("improving direction must preserve efficiency")
     # zero on every fixed player and on N as a whole pins the direction
     # orthogonal to the entire fixed family
-    if any(direction.delta[p - 1] != 0 for p in fixed.members()):
+    if any(delta[p - 1] != 0 for p in fixed.members()):
         raise InternalError("direction must vanish on the fixed set")
-    return direction
+    return tuple(delta)
 
 
-@dataclass
-class SchemeState:
-    """Mutable state of one primal-dual run (canonical space).
-
-    The payoffs and the level are integer numerators over one common
-    denominator: x = nums / den and epsilon = eps / den, where den is
-    always a multiple of the game's `integer_form.den`.
-    """
-
-    nums: list[int]
-    eps: int
-    den: int
-    family: FixedFamily
-    level: int
-
-    @classmethod
-    def start(cls, g: SingleMarketGame) -> "SchemeState":
-        """x = alpha_1 * share (every drop-one coalition tight), epsilon = 0."""
-        form = g.integer_form
-        top = form.alpha[0]
-        return cls([top * s for s in form.share], 0, form.den,
-                   FixedFamily(Coalition(0), g.n), 0)
-
-    @property
-    def x(self) -> list[Fraction]:
-        return [Fraction(v, self.den) for v in self.nums]
-
-    @property
-    def epsilon(self) -> Fraction:
-        return Fraction(self.eps, self.den)
-
-    def advance(self, lam: Fraction, direction: ImprovingDirection) -> None:
-        """Move x by lam * delta and epsilon by lam."""
-        den = lcm(self.den, lam.denominator)
-        up = den // self.den
-        step = lam.numerator * (den // lam.denominator)
-        self.nums = [v * up + step * d for v, d in zip(self.nums, direction.delta)]
-        self.eps = self.eps * up + step
-        self.den = den
-
-    def validate(self, g: SingleMarketGame) -> None:
-        # Every player outside the fixed set (other than 1) must keep the
-        # drop-one coalition N\{i} tight at the current level:
-        # x(N) - x_i = alpha_1 * (1 - share_i) + epsilon, over den.
-        form = g.integer_form
-        up = self.den // form.den
-        top = form.alpha[0] * up
-        total = sum(self.nums)
-        fixed = self.family.fixed.mask
-        for i in range(2, g.n + 1):
-            if fixed >> (i - 1) & 1:
-                continue
-            lhs = total - self.nums[i - 1]
-            rhs = top * (form.share_den - form.share[i - 1]) + self.eps
-            if lhs != rhs:
-                raise InternalError(
-                    f"drop-one tightness violated for player {i}: "
-                    f"{Fraction(lhs, self.den)} != {Fraction(rhs, self.den)}"
-                )
+def _check_drop_one(
+    g: SingleMarketGame, nums: Sequence[int], eps: int, den: int, fixed_mask: int
+) -> None:
+    # Every player outside the fixed set (other than 1) must keep the
+    # drop-one coalition N\{i} tight at the current level:
+    # x(N) - x_i = alpha_1 * (1 - share_i) + epsilon, over den.
+    form = g.integer_form
+    up = den // form.den
+    top = form.alpha[0] * up
+    total = sum(nums)
+    for i in range(2, g.n + 1):
+        if fixed_mask >> (i - 1) & 1:
+            continue
+        lhs = total - nums[i - 1]
+        rhs = top * (form.share_den - form.share[i - 1]) + eps
+        if lhs != rhs:
+            raise InternalError(
+                f"drop-one tightness violated for player {i}: "
+                f"{Fraction(lhs, den)} != {Fraction(rhs, den)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -172,35 +95,47 @@ def step_size(
     g: SingleMarketGame,
     x: Sequence[Fraction],
     epsilon: Fraction,
-    family: FixedFamily,
+    fixed: Coalition,
 ) -> tuple[Fraction, Coalition]:
-    """Largest feasible move along the improving direction, with a coalition
-    that blocks it.
+    """Largest feasible move along the improving direction from (x, epsilon)
+    with the players of `fixed` pinned, and a coalition that blocks it.
 
     Enumerates the blocking coalition's smallest member i >= 2 and the
     count t of its players outside F.  For each (i, t) the cheapest
     candidate takes i, every later F-member with negative weight, and
     the t (or t-1 when i is outside F) cheapest later non-F players.
     A zero step means some unfixed coalition is already tight; the
-    caller then only grows F.
+    caller then only grows F.  O(n^2 log n) integer operations per call.
+    """
+    if 1 in fixed:
+        raise InternalError("player 1 can never enter the fixed set")
+    if fixed.mask >> g.n:
+        raise InputError("fixed set exceeds the player count")
+    nums, den = g.integer_form.numerators([*x, epsilon])
+    eps = nums.pop()
+    lam, mask = _step(g, nums, eps, den, fixed.mask)
+    return lam, Coalition(mask)
 
-    Runs on integers: x and epsilon become numerators over one common
-    denominator, the cheapest candidates for t = 1, 2, ... are running
-    prefix sums over the sorted non-F weights, and candidate steps
+
+def _step(
+    g: SingleMarketGame, nums: Sequence[int], eps: int, den: int, fixed_mask: int
+) -> tuple[Fraction, int]:
+    """`step_size` on x = nums / den and epsilon = eps / den, where den is a
+    multiple of the game's `integer_form.den`.
+
+    The cheapest candidates for t = 1, 2, ... are running prefix sums
+    over the sorted non-F weights, and candidate steps
     (T - epsilon) / (1 + t) are compared by cross-multiplication.  Ties
-    go to the first (i, t).  O(n^2 log n) integer operations per call.
+    go to the first (i, t).
     """
     n = g.n
-    if family.complete:
+    budget = n - 1 - fixed_mask.bit_count()
+    if budget == 0:
         raise InternalError("step_size called with nothing left to fix")
-    if len(x) != n:
-        raise InputError(f"payoff vector has length {len(x)}, expected {n}")
+    if len(nums) != n:
+        raise InputError(f"payoff vector has length {len(nums)}, expected {n}")
     form = g.integer_form
-    xs, den = form.numerators([*x, epsilon])
-    eps = xs.pop()
     share = form.shares_over(den)
-    fixed_mask = family.fixed.mask
-    budget = n - 1 - len(family.fixed)
     # 0-based positions of the players after player 1, split by F
     fixed = [j for j in range(1, n) if fixed_mask >> j & 1]
     free = [j for j in range(1, n) if not fixed_mask >> j & 1]
@@ -209,15 +144,15 @@ def step_size(
     for i in range(1, n):  # 0-based position of the smallest member
         a = form.alpha[i]
         in_f = fixed_mask >> i & 1
-        total = xs[i] - a * share[i] - eps
+        total = nums[i] - a * share[i] - eps
         mask = 1 << i
         for j in fixed[bisect_right(fixed, i):]:
-            w = xs[j] - a * share[j]
+            w = nums[j] - a * share[j]
             if w < 0:
                 total += w
                 mask |= 1 << j
         outside = sorted(
-            [(xs[j] - a * share[j], j) for j in free[bisect_right(free, i):]]
+            [(nums[j] - a * share[j], j) for j in free[bisect_right(free, i):]]
         )
         # t >= 1 counts the candidate's members outside F, i included;
         # each outside player taken (cheapest first) adds one
@@ -235,7 +170,7 @@ def step_size(
     lam = Fraction(best_num, den * best_t1)
     if lam < 0:
         raise InternalError(f"negative step {lam}: state infeasible")
-    return lam, Coalition(best_mask)
+    return lam, best_mask
 
 
 def _canonical_allocation(
@@ -251,37 +186,49 @@ def nucleolus_primal_dual(
 ) -> Allocation:
     """Exact nucleolus of a single-market game in at most n - 1 rounds.
 
-    Reported in original player order and demand units.
+    Reported in original player order and demand units.  The round state
+    is x = nums / den, epsilon = eps / den and the fixed set F as a mask,
+    from x = alpha_1 * share (every drop-one coalition tight), epsilon = 0.
     """
     n = g.n
     method = "nucleolus (primal-dual)"
     if n == 1:
         return _canonical_allocation(g, (g.alpha[0],), method)
-    state = SchemeState.start(g)
-    state.validate(g)
-    while not state.family.complete:
-        state.level += 1
-        if state.level > n - 1:
+    form = g.integer_form
+    nums = [form.alpha[0] * s for s in form.share]
+    eps, den, fixed, level = 0, form.den, 0, 0
+    _check_drop_one(g, nums, eps, den, fixed)
+    while fixed.bit_count() < n - 1:
+        level += 1
+        if level > n - 1:
             raise InternalError("primal-dual exceeded its n - 1 round bound")
-        lam, blocking = step_size(g, state.x, state.epsilon, state.family)
+        lam, blocking = _step(g, nums, eps, den, fixed)
         if lam > 0:
-            state.advance(lam, improving_direction(state.family))
-        grown = state.family.fixed.union(blocking)
-        if grown.mask == state.family.fixed.mask:
+            # move x by lam * delta and epsilon by lam
+            delta = improving_direction(Coalition(fixed), n)
+            big = lcm(den, lam.denominator)
+            up = big // den
+            step = lam.numerator * (big // lam.denominator)
+            nums = [v * up + step * d for v, d in zip(nums, delta)]
+            eps, den = eps * up + step, big
+        grown = fixed | blocking
+        if grown == fixed:
             raise InternalError("fixed set failed to grow")
-        state.family = FixedFamily(grown, n)
-        state.validate(g)
+        if grown & 1:
+            raise InternalError("player 1 can never enter the fixed set")
+        fixed = grown
+        _check_drop_one(g, nums, eps, den, fixed)
         if trace is not None:
             trace.append(
                 TraceStep(
-                    level=state.level,
+                    level=level,
                     step=lam,
-                    epsilon=state.epsilon,
-                    fixed=Coalition.of(g.perm[k - 1] for k in blocking.members()),
-                    family=Coalition.of(g.perm[k - 1] for k in grown.members()),
+                    epsilon=Fraction(eps, den),
+                    fixed=Coalition.of(g.perm[k] for k in range(n) if blocking >> k & 1),
+                    family=Coalition.of(g.perm[k] for k in range(n) if fixed >> k & 1),
                 )
             )
-    return _canonical_allocation(g, state.x, method)
+    return _canonical_allocation(g, [Fraction(v, den) for v in nums], method)
 
 
 # ---------------------------------------------------------------------------

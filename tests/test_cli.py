@@ -643,5 +643,5 @@ class TestHumanReports:
             2,
             "",
             "error: market decomposition needs unlimited capacities; for finite "
-            "capacities use the brute-force allocation routes (--oracle)\n",
+            "capacities use --method nucleolus --oracle or --method shapley --oracle\n",
         )

@@ -65,8 +65,6 @@ class TestCoalition:
         assert 1 in s and 2 not in s
         assert s.union(Coalition.of([2])).mask == 0b111
         assert s.minus(Coalition.of([1])).members() == (3,)
-        assert s.is_subset_of(Coalition.full(3))
-        assert s.complement(3).members() == (2,)
         assert str(s) == "{1,3}"
 
     def test_validation(self):

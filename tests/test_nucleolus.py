@@ -20,7 +20,6 @@ from coopshare import (
     InputError,
     InternalError,
     Instance,
-    SchemeState,
     SizeError,
     core_check,
     normalize,
@@ -36,7 +35,7 @@ from coopshare import (
 )
 from coopshare import nucleolus as nucleolus_module
 from coopshare.game import coalition_table
-from coopshare.nucleolus import FixedFamily, _MaskSpan, improving_direction
+from coopshare.nucleolus import _check_drop_one, _MaskSpan, improving_direction
 from coopshare.ratlp import (
     EQ,
     FREE,
@@ -55,53 +54,54 @@ def oracle_of(g):
 
 
 class TestFixedFamily:
-    def test_membership(self):
-        fam = FixedFamily(Coalition.of([2, 4]), 4)
-        assert fam.contains(Coalition.of([2]))
-        assert fam.contains(Coalition.of([2, 4]))
-        assert fam.contains(Coalition.of([1, 3]))  # complement of F
-        assert fam.contains(Coalition.of([1, 2, 3]))
-        assert not fam.contains(Coalition.of([2, 3]))
-        assert not fam.contains(Coalition.of([3]))
+    """The fixed set F that `step_size` takes: players 2..n only."""
 
     def test_player_one_excluded(self):
-        with pytest.raises(InternalError):
-            FixedFamily(Coalition.of([1]), 3)
+        with pytest.raises(InternalError, match="player 1"):
+            step_size(DEMO_GAME, [THIRD] * 3, F(0), Coalition.of([1]))
+
+    def test_past_the_player_count_rejected(self):
+        with pytest.raises(InputError, match="exceeds the player count"):
+            step_size(DEMO_GAME, [THIRD] * 3, F(0), Coalition.of([2, 4]))
 
 
 class TestImprovingDirection:
     def test_shape(self):
-        d = improving_direction(FixedFamily(Coalition.of([3]), 4))
-        assert d.delta == (F(2), F(-1), F(0), F(-1))
-        assert sum(d.delta) == 0
+        d = improving_direction(Coalition.of([3]), 4)
+        assert d == (F(2), F(-1), F(0), F(-1))
+        assert sum(d) == 0
 
     def test_orthogonal_to_family_generators(self):
-        fam = FixedFamily(Coalition.of([2, 3]), 5)
-        d = improving_direction(fam)
+        fixed = Coalition.of([2, 3])
+        d = improving_direction(fixed, 5)
         # zero on every subset of F and on every complement-superset
-        for p in fam.fixed.members():
-            assert d.delta[p - 1] == 0
-        assert sum(d.delta) == 0
+        for p in fixed.members():
+            assert d[p - 1] == 0
+        assert sum(d) == 0
 
 
 class TestStepSize:
     def test_two_player_first_move(self):
         g = single_market([3, 1], [F(1, 2), F(1, 2)])
-        lam, blocking = step_size(g, [F(3, 2), F(3, 2)], F(0), FixedFamily(Coalition(0), 2))
+        lam, blocking = step_size(g, [F(3, 2), F(3, 2)], F(0), Coalition(0))
         assert lam == F(1, 2)
         assert blocking.members() == (2,)
 
     def test_zero_step_reports_tight_coalition(self):
         # player 2's singleton is already tight at the start
         g = single_market([1, 1], [F(1, 3), F(2, 3)])
-        lam, blocking = step_size(g, [F(1, 3), F(2, 3)], F(0), FixedFamily(Coalition(0), 2))
+        lam, blocking = step_size(g, [F(1, 3), F(2, 3)], F(0), Coalition(0))
         assert lam == 0
         assert blocking.members() == (2,)
 
     def test_complete_family_rejected(self):
         g = single_market([3, 1], [F(1, 2), F(1, 2)])
         with pytest.raises(InternalError):
-            step_size(g, [F(2), F(1)], F(1, 2), FixedFamily(Coalition.of([2]), 2))
+            step_size(g, [F(2), F(1)], F(1, 2), Coalition.of([2]))
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(InputError, match="length 2, expected 3"):
+            step_size(DEMO_GAME, [F(1, 2), F(1, 2)], F(0), Coalition(0))
 
 
 class TestPrimalDual:
@@ -177,24 +177,29 @@ class TestPrimalDual:
 
 
 class TestSchemeState:
+    """`_check_drop_one` on the scheme's integer state x = nums / den,
+    epsilon = eps / den and the fixed mask."""
+
     def test_validate_checks_every_unfixed_player(self):
         g = single_market([3, 2, 1, 1], [F(1, 4)] * 4)
-        state = SchemeState.start(g)
-        state.validate(g)
-        state.nums[1] += 1  # loosens N\{i} for every i other than 2
-        with pytest.raises(InternalError):
-            state.validate(g)
-        state.family = FixedFamily(Coalition.of([3, 4]), 4)
-        state.validate(g)  # only N\{2} is checked now, and it is still tight
+        nums, den = [3, 3, 3, 3], 4  # the start: x = alpha_1 * share
+        _check_drop_one(g, nums, 0, den, 0)
+        nums[1] += 1  # loosens N\{i} for every i other than 2
+        with pytest.raises(InternalError, match="drop-one tightness"):
+            _check_drop_one(g, nums, 0, den, 0)
+        # only N\{2} is checked now, and it is still tight
+        _check_drop_one(g, nums, 0, den, Coalition.of([3, 4]).mask)
 
     def test_advance_moves_along_the_direction(self):
         g = single_market([3, 2, 1, 1], [F(1, 4)] * 4)
-        state = SchemeState.start(g)
-        state.family = FixedFamily(Coalition.of([3]), 4)
-        state.advance(F(1, 7), improving_direction(state.family))
-        assert state.x == [F(3, 4) + F(2, 7), F(3, 4) - F(1, 7), F(3, 4), F(3, 4) - F(1, 7)]
-        assert state.epsilon == F(1, 7)
-        state.validate(g)
+        fixed = Coalition.of([3])
+        x = [F(3, 4) + F(d, 7) for d in improving_direction(fixed, 4)]
+        assert x == [F(3, 4) + F(2, 7), F(3, 4) - F(1, 7), F(3, 4), F(3, 4) - F(1, 7)]
+        nums, den = g.integer_form.numerators([*x, F(1, 7)])
+        eps = nums.pop()
+        _check_drop_one(g, nums, eps, den, fixed.mask)
+        with pytest.raises(InternalError):
+            _check_drop_one(g, nums, 0, den, fixed.mask)  # the level did not move
 
 
 class TestSeparate:
@@ -748,11 +753,11 @@ class TestMaskSpan:
             assert point == solve_linear_system(rows, span.rhs)
 
 
-def reference_step_size(g, x, epsilon, family):
+def reference_step_size(g, x, epsilon, fixed):
     """The Fraction step size that re-sums each candidate, O(n^3) per call."""
     n = g.n
-    fixed_mask = family.fixed.mask
-    budget = n - 1 - len(family.fixed)
+    fixed_mask = fixed.mask
+    budget = n - 1 - len(fixed)
     best = None
     for i in range(2, n + 1):
         a = g.alpha[i - 1]
@@ -795,18 +800,20 @@ def tied_single_market(rng, n):
 class TestIntegerStepSize:
     @pytest.fixture
     def compared(self, monkeypatch):
-        """Route every step_size call of the primal-dual loop through a
+        """Route every integer step of the primal-dual loop through a
         comparison with the reference; counts the rounds compared."""
-        fast = nucleolus_module.step_size
+        fast = nucleolus_module._step
         rounds = []
 
-        def both(g, x, epsilon, family):
-            got = fast(g, x, epsilon, family)
-            assert got == reference_step_size(g, x, epsilon, family)
+        def both(g, nums, eps, den, fixed_mask):
+            got = fast(g, nums, eps, den, fixed_mask)
+            x = [F(v, den) for v in nums]
+            expected = reference_step_size(g, x, F(eps, den), Coalition(fixed_mask))
+            assert (got[0], Coalition(got[1])) == expected
             rounds.append(got[0])
             return got
 
-        monkeypatch.setattr(nucleolus_module, "step_size", both)
+        monkeypatch.setattr(nucleolus_module, "_step", both)
         return rounds
 
     def test_matches_reference_every_round(self, compared):
@@ -839,13 +846,13 @@ class TestIntegerStepSize:
                 continue
             x = [F(rng.randint(-3, 9), rng.randint(1, 4)) for _ in range(n)]
             eps = F(rng.randint(-9, 2), rng.randint(1, 3))
-            family = FixedFamily(Coalition(fixed), n)
-            expected = reference_step_size(g, x, eps, family)
+            fixed = Coalition(fixed)
+            expected = reference_step_size(g, x, eps, fixed)
             if expected[0] < 0:
                 with pytest.raises(InternalError):
-                    step_size(g, x, eps, family)
+                    step_size(g, x, eps, fixed)
             else:
-                assert step_size(g, x, eps, family) == expected
+                assert step_size(g, x, eps, fixed) == expected
 
     def test_large_game_is_efficient_and_in_core(self):
         rng = random.Random(150)
