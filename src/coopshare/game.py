@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -102,12 +101,11 @@ def _demand_and_capacity(
         raise InputError(f"capacity must list {n} values")
     for i in range(n):
         for j in range(m):
-            if demand[i][j] < 0:
+            if demand[i][j].numerator < 0:
                 raise InputError(
                     f"demand[{i + 1}][{j + 1}] is negative: {demand[i][j]}"
                 )
-        own = sum(demand[i])
-        if caps[i] is not None and caps[i] < own:
+        if caps[i] is not None and caps[i] < (own := sum(demand[i])):
             raise InputError(
                 f"capacity[{i + 1}] = {caps[i]} cannot serve the player's "
                 f"own demand {own}"
@@ -170,7 +168,7 @@ class NormalizedInstance:
         profit = _matrix(self.profit, n, m, "profit")
         for i in range(n):
             for j in range(m):
-                if profit[i][j] < 0:
+                if profit[i][j].numerator < 0:
                     raise InputError(
                         f"profit[{i + 1}][{j + 1}] is negative: {profit[i][j]}"
                     )
@@ -198,8 +196,9 @@ def normalize(inst: Instance) -> NormalizedInstance:
     Serving at a loss is never useful, so negative margins clamp to zero.
     """
     profit = tuple(
-        tuple(max(Fraction(0), inst.price[j] - inst.cost[i][j]) for j in range(inst.m))
-        for i in range(inst.n)
+        tuple(Fraction(max(0, r.numerator * c.denominator - c.numerator * r.denominator),
+                       r.denominator * c.denominator) for r, c in zip(inst.price, row))
+        for row in inst.cost
     )
     return NormalizedInstance(
         inst.players, inst.markets, profit, inst.demand, inst.capacity
@@ -247,13 +246,14 @@ class SingleMarketGame:
 
     perm[k] is the original 1-based player sitting at canonical position
     k+1; scale is the market's total demand, so original-unit payoffs are
-    canonical payoffs times scale.
+    canonical payoffs times scale.  The checks run on `integer_form`.
     """
 
     alpha: tuple[Fraction, ...]
     share: tuple[Fraction, ...]
     perm: tuple[int, ...]
     scale: Fraction
+    _form: Optional[IntegerForm] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.alpha)
@@ -262,29 +262,31 @@ class SingleMarketGame:
         object.__setattr__(self, "scale", rat(self.scale))
         if n == 0 or len(self.share) != n or len(self.perm) != n:
             raise InputError("alpha, share and perm must have equal nonzero length")
-        if any(self.alpha[k] < self.alpha[k + 1] for k in range(n - 1)):
+        if self._form is None:
+            (a, a_den), (s, s_den) = _numerators(self.alpha), _numerators(self.share)
+            object.__setattr__(self, "_form", IntegerForm(tuple(a), tuple(s), a_den, s_den))
+        form = self._form
+        if any(form.alpha[k] < form.alpha[k + 1] for k in range(n - 1)):
             raise InputError("alpha must be nonincreasing")
-        if self.alpha[-1] < 0:
+        if form.alpha[-1] < 0:
             raise InputError("alpha must be nonnegative")
-        if any(s < 0 for s in self.share):
+        if any(s < 0 for s in form.share):
             raise InputError("shares must be nonnegative")
-        if sum(self.share) != 1:
+        if sum(form.share) != form.share_den:
             raise InputError("shares must sum to exactly 1")
         if sorted(self.perm) != list(range(1, n + 1)):
             raise InputError("perm must be a permutation of 1..n")
-        if self.scale <= 0:
+        if self.scale.numerator <= 0:
             raise InputError("scale must be positive")
 
     @property
     def n(self) -> int:
         return len(self.alpha)
 
-    @cached_property
+    @property
     def integer_form(self) -> IntegerForm:
         """The game's data as integers over two common denominators."""
-        alpha, alpha_den = _numerators(self.alpha)
-        share, share_den = _numerators(self.share)
-        return IntegerForm(tuple(alpha), tuple(share), alpha_den, share_den)
+        return self._form
 
     def to_original(self, values: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Map a canonical payoff vector to original order and units."""
@@ -312,22 +314,29 @@ def single_market(alpha, share, scale=1) -> SingleMarketGame:
 def to_single_market(inst: NormalizedInstance, market: int) -> SingleMarketGame:
     """Extract market `market` (0-based) as a canonical single-market game.
 
-    Players are ordered by descending profit, ties by original index;
-    shares are demand fractions of the market total.
+    Players are ordered by descending profit, ties by original index (a
+    reversed stable sort keeps equal keys in order); shares are demand
+    fractions of the market total.  The columns, read as numerators over
+    one denominator each, are the game's integer form.
     """
     if not 0 <= market < inst.m:
         raise InputError(f"market index {market} out of range 0..{inst.m - 1}")
-    total = sum(inst.demand[i][market] for i in range(inst.n))
+    demand, demand_den = _numerators([row[market] for row in inst.demand])
+    total = sum(demand)
     if total == 0:
         raise DegenerateMarketError(
             f"market {inst.markets[market]!r} has zero total demand; "
             "its game is identically zero"
         )
-    order = sorted(range(inst.n), key=lambda i: (-inst.profit[i][market], i))
-    alpha = tuple(inst.profit[i][market] for i in order)
-    share = tuple(inst.demand[i][market] / total for i in order)
-    perm = tuple(i + 1 for i in order)
-    return SingleMarketGame(alpha, share, perm, total)
+    column = [row[market] for row in inst.profit]
+    profit, profit_den = _numerators(column)
+    order = sorted(range(inst.n), key=profit.__getitem__, reverse=True)
+    common = gcd(*demand)  # demands over their gcd: shares over the least denominator
+    form = IntegerForm(tuple(profit[i] for i in order),
+                       tuple(demand[i] // common for i in order), profit_den, total // common)
+    return SingleMarketGame(tuple(column[i] for i in order),
+                            tuple(Fraction(demand[i], total) for i in order),
+                            tuple(i + 1 for i in order), Fraction(total, demand_den), form)
 
 
 def value_single_market(g: SingleMarketGame, coalition: Coalition) -> Fraction:
@@ -337,15 +346,9 @@ def value_single_market(g: SingleMarketGame, coalition: Coalition) -> Fraction:
     if coalition.mask >> g.n:
         raise InputError(f"coalition {coalition} exceeds the {g.n}-player game")
     best = (coalition.mask & -coalition.mask).bit_length() - 1
-    lam = Fraction(0)
-    mask = coalition.mask
-    k = 0
-    while mask:
-        if mask & 1:
-            lam += g.share[k]
-        mask >>= 1
-        k += 1
-    return g.alpha[best] * lam
+    form = g.integer_form
+    lam = sum(s for k, s in enumerate(form.share) if coalition.mask >> k & 1)
+    return Fraction(form.alpha[best] * lam, form.den)
 
 
 def _transport_program(inst, players, capped, rhs) -> tuple[list, LinearProgram]:
@@ -559,7 +562,8 @@ def core_check(
         x = x.values
     if isinstance(v, SingleMarketGame):
         g = v
-        if sum(rat(c) for c in x) != g.alpha[0]:
+        xs, den = _numerators([rat(c) for c in x])
+        if sum(xs) * g.alpha[0].denominator != g.alpha[0].numerator * den:
             raise InputError("allocation does not distribute v(N) exactly")
         coalition, excess = min_excess(g, x)
         if excess < 0:
@@ -600,7 +604,8 @@ class Allocation:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(rat(v) for v in self.values))
         object.__setattr__(self, "total", rat(self.total))
-        if sum(self.values) != self.total:
+        nums, den = _numerators(self.values)
+        if sum(nums) * self.total.denominator != self.total.numerator * den:
             raise InputError(
                 f"allocation sums to {sum(self.values)}, expected {self.total}"
             )

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import UnsupportedModeError
-from .game import Allocation, NormalizedInstance, SingleMarketGame, to_single_market
+from .errors import DegenerateMarketError, UnsupportedModeError
+from .game import (Allocation, NormalizedInstance, SingleMarketGame, _numerators,
+                   to_single_market)
 from .nucleolus import nucleolus_primal_dual
 from .shapley import shapley_single_market
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -36,44 +36,42 @@ def decompose(inst: NormalizedInstance) -> MarketDecomposition:
             "market decomposition needs unlimited capacities; for finite "
             "capacities use --method nucleolus --oracle or --method shapley --oracle"
         )
-    markets, games, best = [], [], []
+    markets, games = [], []
     for j in range(inst.m):
-        if sum(inst.demand[i][j] for i in range(inst.n)) == 0:
+        try:
+            games.append(to_single_market(inst, j))
+        except DegenerateMarketError:  # zero total demand
             continue
         markets.append(j)
-        games.append(to_single_market(inst, j))
-        best.append(max(inst.profit[i][j] for i in range(inst.n)))
-    return MarketDecomposition(inst, tuple(markets), tuple(games), tuple(best))
+    best = tuple(g.alpha[0] for g in games)
+    return MarketDecomposition(inst, tuple(markets), tuple(games), best)
 
 
-def _combine(dec: MarketDecomposition, parts, method: str, in_core) -> Allocation:
-    n = dec.instance.n
-    values = [_ZERO] * n
-    total = _ZERO
-    for alloc in parts:
-        for i in range(n):
-            values[i] += alloc.values[i]
-        total += alloc.total
-    return Allocation(tuple(values), total, method=method, in_core=in_core)
+def _combine(dec: MarketDecomposition, columns, method: str, in_core) -> Allocation:
+    """Per-player sums of `columns`, each n numerators over one denominator,
+    added over one common denominator."""
+    big = lcm(*(den for _, den in columns))
+    sums = [sum(nums[i] * (big // den) for nums, den in columns) for i in range(dec.instance.n)]
+    values = tuple(Fraction(v, big) for v in sums)
+    return Allocation(values, Fraction(sum(sums), big), method=method, in_core=in_core)
 
 
 def core_point(dec: MarketDecomposition) -> Allocation:
     """x_i = sum_j (best market profit) * (i's demand there); always in the core."""
-    inst = dec.instance
-    values = [
-        sum((dec.best_profit[k] * inst.demand[i][j] for k, j in enumerate(dec.markets)), _ZERO)
-        for i in range(inst.n)
-    ]
-    return Allocation(tuple(values), sum(values, _ZERO), method="core point", in_core=True)
+    columns = []
+    for best, j in zip(dec.best_profit, dec.markets):
+        nums, den = _numerators([row[j] for row in dec.instance.demand])
+        columns.append(([best.numerator * v for v in nums], best.denominator * den))
+    return _combine(dec, columns, "core point", True)
 
 
 def sum_of_nucleoli(dec: MarketDecomposition) -> Allocation:
     """Per-market nucleoli summed; in the core, but not the true nucleolus."""
-    parts = [nucleolus_primal_dual(g) for g in dec.games]
+    parts = [_numerators(nucleolus_primal_dual(g).values) for g in dec.games]
     return _combine(dec, parts, "sum of per-market nucleoli", True)
 
 
 def shapley_multimarket(dec: MarketDecomposition) -> Allocation:
     """Exact Shapley value of the whole game, summed market by market."""
-    parts = [shapley_single_market(g) for g in dec.games]
+    parts = [_numerators(shapley_single_market(g).values) for g in dec.games]
     return _combine(dec, parts, "shapley (per-market sum)", None)

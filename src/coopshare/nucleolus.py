@@ -4,7 +4,9 @@
   single-market games: walk an improving direction until a coalition
   avoiding the strongest player goes tight, fix it, repeat.  At most
   n - 1 rounds, no LP solves; the round state is integers over one
-  common denominator and the fixed set is a bitmask.
+  common denominator and the fixed set is a bitmask.  The direction keeps
+  each smallest member's order of candidates, so every order is sorted
+  once per game and a round costs O(n^2) integer operations.
 * `nucleolus_separation` — cutting-plane variant: each lexicographic
   level is solved on one warm dual tableau, where the violated coalitions
   that the polynomial `separate` oracle finds enter as columns.
@@ -45,15 +47,14 @@ _ZERO = Fraction(0)
 def improving_direction(fixed: Coalition, n: int) -> tuple[int, ...]:
     """Direction raising the level: +|unfixed - 1| on player 1, -1 on the
     other unfixed players, 0 on fixed ones; preserves efficiency."""
-    delta = [-1] * n
-    delta[0] = n - 1 - len(fixed)
-    for p in fixed.members():
-        delta[p - 1] = 0
+    delta = [0 if fixed.mask >> k & 1 else -1 for k in range(n)]
+    if not fixed.mask & 1:
+        delta[0] = n - 1 - len(fixed)
     if sum(delta) != 0:
         raise InternalError("improving direction must preserve efficiency")
     # zero on every fixed player and on N as a whole pins the direction
     # orthogonal to the entire fixed family
-    if any(delta[p - 1] != 0 for p in fixed.members()):
+    if any(delta[k] != 0 for k in range(n) if fixed.mask >> k & 1):
         raise InternalError("direction must vanish on the fixed set")
     return tuple(delta)
 
@@ -111,66 +112,81 @@ def step_size(
         raise InternalError("player 1 can never enter the fixed set")
     if fixed.mask >> g.n:
         raise InputError("fixed set exceeds the player count")
+    if len(fixed) == g.n - 1:
+        raise InternalError("step_size called with nothing left to fix")
+    if len(x) != g.n:
+        raise InputError(f"payoff vector has length {len(x)}, expected {g.n}")
     nums, den = g.integer_form.numerators([*x, epsilon])
     eps = nums.pop()
-    lam, mask = _step(g, nums, eps, den, fixed.mask)
+    lam, mask = _step(g, nums, eps, den, fixed.mask, _orders(g, nums, den, fixed.mask))
     return lam, Coalition(mask)
 
 
-def _step(
-    g: SingleMarketGame, nums: Sequence[int], eps: int, den: int, fixed_mask: int
-) -> tuple[Fraction, int]:
-    """`step_size` on x = nums / den and epsilon = eps / den, where den is a
-    multiple of the game's `integer_form.den`.
+def _orders(g: SingleMarketGame, nums: Sequence[int], den: int,
+            fixed_mask: int) -> list[list[int]]:
+    """For each 0-based position i >= 1, the later players outside F sorted
+    by (weight, index), weight_j = nums[j] - alpha_i * share_j over den.
 
-    The cheapest candidates for t = 1, 2, ... are running prefix sums
-    over the sorted non-F weights, and candidate steps
-    (T - epsilon) / (1 + t) are compared by cross-multiplication.  Ties
-    go to the first (i, t).
-    """
+    The improving direction moves every unfixed player j >= 2 by the same
+    -lambda, and a larger den scales every weight by the same positive
+    factor, so no order ever changes, ties included: the primal-dual loop
+    sorts once per game and drops the players each round fixes."""
+    share = g.integer_form.shares_over(den)
+    free = [j for j in range(1, g.n) if not fixed_mask >> j & 1]
+    # the sort is stable and `free` ascends, so equal weights keep index order
+    return [[]] + [sorted(free[bisect_right(free, i):], key=lambda j: nums[j] - a * share[j])
+                   for i, a in enumerate(g.integer_form.alpha) if i]
+
+
+def _step(g: SingleMarketGame, nums: Sequence[int], eps: int, den: int, fixed_mask: int,
+          orders: Sequence[Sequence[int]]) -> tuple[Fraction, int]:
+    """`step_size` on x = nums / den and epsilon = eps / den (den a multiple
+    of `integer_form.den`), given that point's `_orders` and an F that
+    leaves a player to fix.
+
+    The cheapest candidates for t = 1, 2, ... are running prefix sums over
+    i's order, and candidate steps (T - epsilon) / (1 + t) are compared by
+    cross-multiplication; ties go to the first (i, t).  Each step is a
+    weighted mean of the last one and the weight added, and the weights
+    ascend, so once a weight is not below the step no later step of i is
+    smaller, and the scan of i stops."""
     n = g.n
     budget = n - 1 - fixed_mask.bit_count()
-    if budget == 0:
-        raise InternalError("step_size called with nothing left to fix")
-    if len(nums) != n:
-        raise InputError(f"payoff vector has length {len(nums)}, expected {n}")
     form = g.integer_form
     share = form.shares_over(den)
-    # 0-based positions of the players after player 1, split by F
+    # 0-based positions of the fixed players after player 1
     fixed = [j for j in range(1, n) if fixed_mask >> j & 1]
-    free = [j for j in range(1, n) if not fixed_mask >> j & 1]
-    # the best candidate so far is the step best_num / (den * best_t1)
-    best_num, best_t1, best_mask = None, 1, 0
+    # best so far: the step best_num / (den * best_t1), i's order taken to best_take
+    best_num, best_t1, best_i, best_take = None, 1, 0, 0
     for i in range(1, n):  # 0-based position of the smallest member
         a = form.alpha[i]
         in_f = fixed_mask >> i & 1
         total = nums[i] - a * share[i] - eps
-        mask = 1 << i
         for j in fixed[bisect_right(fixed, i):]:
             w = nums[j] - a * share[j]
             if w < 0:
                 total += w
-                mask |= 1 << j
-        outside = sorted(
-            [(nums[j] - a * share[j], j) for j in free[bisect_right(free, i):]]
-        )
         # t >= 1 counts the candidate's members outside F, i included;
         # each outside player taken (cheapest first) adds one
         t1 = 2 - in_f  # 1 + t before any outside player is taken
         if not in_f and (best_num is None or total * best_t1 < best_num * t1):
-            best_num, best_t1, best_mask = total, t1, mask
-        for w, j in outside[: budget - 1 + in_f]:
+            best_num, best_t1, best_i, best_take = total, t1, i, 0
+        for take, j in enumerate(orders[i][:budget - 1 + in_f], 1):
+            w = nums[j] - a * share[j]
+            if w * t1 >= total and (take > 1 or not in_f):
+                break
             total += w
-            mask |= 1 << j
             t1 += 1
             if best_num is None or total * best_t1 < best_num * t1:
-                best_num, best_t1, best_mask = total, t1, mask
+                best_num, best_t1, best_i, best_take = total, t1, i, take
     if best_num is None:
         raise InternalError("no candidate coalition found; family inconsistent")
     lam = Fraction(best_num, den * best_t1)
     if lam < 0:
         raise InternalError(f"negative step {lam}: state infeasible")
-    return lam, best_mask
+    a, later = form.alpha[best_i], fixed[bisect_right(fixed, best_i):]
+    members = [j for j in later if nums[j] < a * share[j]] + orders[best_i][:best_take]
+    return lam, sum(1 << j for j in members) | 1 << best_i
 
 
 def _canonical_allocation(
@@ -198,11 +214,12 @@ def nucleolus_primal_dual(
     nums = [form.alpha[0] * s for s in form.share]
     eps, den, fixed, level = 0, form.den, 0, 0
     _check_drop_one(g, nums, eps, den, fixed)
+    orders = _orders(g, nums, den, fixed)
     while fixed.bit_count() < n - 1:
         level += 1
         if level > n - 1:
             raise InternalError("primal-dual exceeded its n - 1 round bound")
-        lam, blocking = _step(g, nums, eps, den, fixed)
+        lam, blocking = _step(g, nums, eps, den, fixed, orders)
         if lam > 0:
             # move x by lam * delta and epsilon by lam
             delta = improving_direction(Coalition(fixed), n)
@@ -216,6 +233,9 @@ def nucleolus_primal_dual(
             raise InternalError("fixed set failed to grow")
         if grown & 1:
             raise InternalError("player 1 can never enter the fixed set")
+        for j in (k for k in range(2, n) if (grown ^ fixed) >> k & 1):
+            for order in orders[1:j]:  # a newly fixed player leaves the orders
+                order.remove(j)
         fixed = grown
         _check_drop_one(g, nums, eps, den, fixed)
         if trace is not None:

@@ -15,10 +15,12 @@ from conftest import (
     reference_core_check,
 )
 from coopshare import (
+    Allocation,
     Coalition,
     DegenerateMarketError,
     InputError,
     Instance,
+    NormalizedInstance,
     SizeError,
     core_check,
     min_excess,
@@ -160,6 +162,75 @@ class TestToSingleMarket:
             original = g.to_original(canonical)
             for i in range(inst.n):
                 assert original[i] == inst.profit[i][0] * inst.demand[i][0]
+
+
+def _market_data(rng, n, m):
+    """Fractional prices, costs and demands; costs from a small pool, so
+    profits tie, and some above the price, so margins go negative; some
+    players and markets without demand."""
+    price = [F(rng.randint(1, 900), rng.choice([1, 4, 100])) for _ in range(m)]
+    pool = [F(rng.randint(0, 950), rng.choice([1, 3, 100])) for _ in range(3)]
+    cost = [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
+    demand = [
+        [F(rng.randint(1, 40), rng.choice([1, 2, 7])) if rng.random() < 0.7 else F(0)
+         for _ in range(m)]
+        for _ in range(n)
+    ]
+    return price, cost, demand
+
+
+class TestIntegerMarketData:
+    """`normalize` and `to_single_market` build their data from numerators;
+    a Fraction-built reference must give the same game."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 3), st.randoms(use_true_random=False))
+    def test_matches_fraction_reference(self, n, m, rng):
+        price, cost, demand = _market_data(rng, n, m)
+        inst = normalize(_instance(price, cost, demand))
+        for i in range(n):
+            for j in range(m):
+                assert inst.profit[i][j] == max(F(0), price[j] - cost[i][j])
+        for j in range(m):
+            total = sum(demand[i][j] for i in range(n))
+            if total == 0:
+                with pytest.raises(DegenerateMarketError):
+                    to_single_market(inst, j)
+                continue
+            g = to_single_market(inst, j)
+            order = sorted(range(n), key=lambda i: (-inst.profit[i][j], i))
+            assert g.alpha == tuple(inst.profit[i][j] for i in order)
+            assert g.share == tuple(demand[i][j] / total for i in order)
+            assert g.perm == tuple(i + 1 for i in order)
+            assert g.scale == total
+            form = g.integer_form
+            assert tuple(F(a, form.alpha_den) for a in form.alpha) == g.alpha
+            assert tuple(F(s, form.share_den) for s in form.share) == g.share
+            # the same integer form a game built from the Fractions has
+            assert single_market(g.alpha, g.share).integer_form == form
+
+
+class TestChecksKeepTheirText:
+    @pytest.mark.parametrize("build, text", [
+        (lambda: single_market([1, 2], [F(1, 2)] * 2), "alpha must be nonincreasing"),
+        (lambda: single_market([1, -1], [F(1, 2)] * 2), "alpha must be nonnegative"),
+        (lambda: single_market([2, 1], [F(3, 2), F(-1, 2)]), "shares must be nonnegative"),
+        (lambda: single_market([2, 1], [F(1, 2), F(1, 3)]), "shares must sum to exactly 1"),
+        (lambda: NormalizedInstance(("a",), ("m",), ((F(-1, 3),),), ((F(1),),), (None,)),
+         "profit[1][1] is negative: -1/3"),
+        (lambda: _instance([1], [[0]], [[F(3, 2)]], capacity=[1]),
+         "capacity[1] = 1 cannot serve the player's own demand 3/2"),
+        (lambda: NormalizedInstance(("a",), ("m",), ((F(1),),), ((F(3),),), (F(5, 2),)),
+         "capacity[1] = 5/2 cannot serve the player's own demand 3"),
+        (lambda: Allocation((F(1, 3), F(1, 2)), F(1)), "allocation sums to 5/6, expected 1"),
+        (lambda: core_check(single_market([2, 1], [F(1, 2)] * 2), [F(1), F(1, 2)]),
+         "allocation does not distribute v(N) exactly"),
+    ])
+    def test_same_error_and_text(self, build, text):
+        with pytest.raises(InputError) as err:
+            build()
+        assert type(err.value) is InputError
+        assert str(err.value) == text
 
 
 class TestValueSingleMarket:

@@ -16,6 +16,7 @@ from coopshare import (
     nucleolus_primal_dual,
     shapley_bruteforce,
     shapley_multimarket,
+    shapley_single_market,
     sum_of_nucleoli,
     to_single_market,
     value_general,
@@ -131,6 +132,42 @@ class TestShapleyMultimarket:
         )
         alloc = shapley_multimarket(decompose(inst))
         assert alloc.values == (a * 3, a * 4)
+
+
+class TestEdgeInstances:
+    """The three combining routes on an instance without any demand and on
+    one with a single market."""
+
+    def test_every_market_without_demand(self):
+        inst = normalize(
+            Instance(("a", "b"), ("m1", "m2"), (F(2), F(5, 2)),
+                     ((F(1), F(1, 3)), (F(0), F(3))), ((F(0), F(0)), (F(0), F(0))),
+                     (None, None))
+        )
+        dec = decompose(inst)
+        assert dec.markets == () and dec.games == () and dec.best_profit == ()
+        for route in (sum_of_nucleoli, shapley_multimarket, core_point):
+            alloc = route(dec)
+            assert alloc.values == (F(0), F(0))
+            assert alloc.total == 0
+
+    def test_single_market(self):
+        inst = normalize(
+            Instance(("a", "b", "c"), ("m",), (F(7, 2),),
+                     ((F(1, 3),), (F(2),), (F(1, 3),)),
+                     ((F(3, 4),), (F(0),), (F(5, 2),)), (None, None, None))
+        )
+        dec = decompose(inst)
+        g = to_single_market(inst, 0)
+        assert dec.games == (g,)
+        assert sum_of_nucleoli(dec).values == nucleolus_primal_dual(g).values
+        assert shapley_multimarket(dec).values == shapley_single_market(g).values
+        best = max(row[0] for row in inst.profit)
+        point = core_point(dec)
+        assert point.values == tuple(best * row[0] for row in inst.demand)
+        assert point.total == best * sum(row[0] for row in inst.demand)
+        for route in (sum_of_nucleoli, shapley_multimarket, core_point):
+            assert route(dec).total == g.alpha[0] * g.scale
 
 
 class TestRandomizedProperties:

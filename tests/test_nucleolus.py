@@ -801,12 +801,14 @@ class TestIntegerStepSize:
     @pytest.fixture
     def compared(self, monkeypatch):
         """Route every integer step of the primal-dual loop through a
-        comparison with the reference; counts the rounds compared."""
+        comparison with the reference; counts the rounds compared.  The
+        reference sorts the weights afresh, so this also checks that the
+        orders the loop keeps across rounds are the ones a sort gives."""
         fast = nucleolus_module._step
         rounds = []
 
-        def both(g, nums, eps, den, fixed_mask):
-            got = fast(g, nums, eps, den, fixed_mask)
+        def both(g, nums, eps, den, fixed_mask, orders):
+            got = fast(g, nums, eps, den, fixed_mask, orders)
             x = [F(v, den) for v in nums]
             expected = reference_step_size(g, x, F(eps, den), Coalition(fixed_mask))
             assert (got[0], Coalition(got[1])) == expected
