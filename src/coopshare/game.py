@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -195,13 +195,15 @@ def normalize(inst: Instance) -> NormalizedInstance:
 
     Serving at a loss is never useful, so negative margins clamp to zero.
     """
-    profit = tuple(
-        tuple(Fraction(max(0, r.numerator * c.denominator - c.numerator * r.denominator),
-                       r.denominator * c.denominator) for r, c in zip(inst.price, row))
-        for row in inst.cost
-    )
+    profit = []
+    for row in inst.cost:
+        margins = []
+        for r, c in zip(inst.price, row):
+            num = r.numerator * c.denominator - c.numerator * r.denominator
+            margins.append(Fraction(max(0, num), r.denominator * c.denominator))
+        profit.append(tuple(margins))
     return NormalizedInstance(
-        inst.players, inst.markets, profit, inst.demand, inst.capacity
+        inst.players, inst.markets, tuple(profit), inst.demand, inst.capacity
     )
 
 
@@ -246,14 +248,16 @@ class SingleMarketGame:
 
     perm[k] is the original 1-based player sitting at canonical position
     k+1; scale is the market's total demand, so original-unit payoffs are
-    canonical payoffs times scale.  The checks run on `integer_form`.
+    canonical payoffs times scale.  `integer_form`, the game's data as
+    integers over two common denominators, is built from alpha and share
+    on construction, and the checks run on it.
     """
 
     alpha: tuple[Fraction, ...]
     share: tuple[Fraction, ...]
     perm: tuple[int, ...]
     scale: Fraction
-    _form: Optional[IntegerForm] = field(default=None, compare=False, repr=False)
+    integer_form: IntegerForm = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.alpha)
@@ -262,10 +266,10 @@ class SingleMarketGame:
         object.__setattr__(self, "scale", rat(self.scale))
         if n == 0 or len(self.share) != n or len(self.perm) != n:
             raise InputError("alpha, share and perm must have equal nonzero length")
-        if self._form is None:
-            (a, a_den), (s, s_den) = _numerators(self.alpha), _numerators(self.share)
-            object.__setattr__(self, "_form", IntegerForm(tuple(a), tuple(s), a_den, s_den))
-        form = self._form
+        alpha, alpha_den = _numerators(self.alpha)
+        share, share_den = _numerators(self.share)
+        form = IntegerForm(tuple(alpha), tuple(share), alpha_den, share_den)
+        object.__setattr__(self, "integer_form", form)
         if any(form.alpha[k] < form.alpha[k + 1] for k in range(n - 1)):
             raise InputError("alpha must be nonincreasing")
         if form.alpha[-1] < 0:
@@ -282,11 +286,6 @@ class SingleMarketGame:
     @property
     def n(self) -> int:
         return len(self.alpha)
-
-    @property
-    def integer_form(self) -> IntegerForm:
-        """The game's data as integers over two common denominators."""
-        return self._form
 
     def to_original(self, values: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Map a canonical payoff vector to original order and units."""
@@ -316,8 +315,8 @@ def to_single_market(inst: NormalizedInstance, market: int) -> SingleMarketGame:
 
     Players are ordered by descending profit, ties by original index (a
     reversed stable sort keeps equal keys in order); shares are demand
-    fractions of the market total.  The columns, read as numerators over
-    one denominator each, are the game's integer form.
+    fractions of the market total.  Both columns are read as numerators
+    over one denominator each, so the sort and the total are on integers.
     """
     if not 0 <= market < inst.m:
         raise InputError(f"market index {market} out of range 0..{inst.m - 1}")
@@ -329,14 +328,12 @@ def to_single_market(inst: NormalizedInstance, market: int) -> SingleMarketGame:
             "its game is identically zero"
         )
     column = [row[market] for row in inst.profit]
-    profit, profit_den = _numerators(column)
+    profit, _ = _numerators(column)
     order = sorted(range(inst.n), key=profit.__getitem__, reverse=True)
-    common = gcd(*demand)  # demands over their gcd: shares over the least denominator
-    form = IntegerForm(tuple(profit[i] for i in order),
-                       tuple(demand[i] // common for i in order), profit_den, total // common)
-    return SingleMarketGame(tuple(column[i] for i in order),
-                            tuple(Fraction(demand[i], total) for i in order),
-                            tuple(i + 1 for i in order), Fraction(total, demand_den), form)
+    alpha = tuple(column[i] for i in order)
+    share = tuple(Fraction(demand[i], total) for i in order)
+    perm = tuple(i + 1 for i in order)
+    return SingleMarketGame(alpha, share, perm, Fraction(total, demand_den))
 
 
 def value_single_market(g: SingleMarketGame, coalition: Coalition) -> Fraction:

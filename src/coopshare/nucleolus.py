@@ -131,11 +131,16 @@ def _orders(g: SingleMarketGame, nums: Sequence[int], den: int,
     -lambda, and a larger den scales every weight by the same positive
     factor, so no order ever changes, ties included: the primal-dual loop
     sorts once per game and drops the players each round fixes."""
-    share = g.integer_form.shares_over(den)
+    form = g.integer_form
+    share = form.shares_over(den)
     free = [j for j in range(1, g.n) if not fixed_mask >> j & 1]
-    # the sort is stable and `free` ascends, so equal weights keep index order
-    return [[]] + [sorted(free[bisect_right(free, i):], key=lambda j: nums[j] - a * share[j])
-                   for i, a in enumerate(g.integer_form.alpha) if i]
+    orders = [[]]  # position 0, player 1, is never a smallest member
+    for i in range(1, g.n):
+        a = form.alpha[i]
+        later = free[bisect_right(free, i):]
+        # the sort is stable and `later` ascends, so equal weights keep index order
+        orders.append(sorted(later, key=lambda j: nums[j] - a * share[j]))
+    return orders
 
 
 def _step(g: SingleMarketGame, nums: Sequence[int], eps: int, den: int, fixed_mask: int,

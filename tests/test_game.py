@@ -21,6 +21,7 @@ from coopshare import (
     InputError,
     Instance,
     NormalizedInstance,
+    SingleMarketGame,
     SizeError,
     core_check,
     min_excess,
@@ -206,8 +207,14 @@ class TestIntegerMarketData:
             form = g.integer_form
             assert tuple(F(a, form.alpha_den) for a in form.alpha) == g.alpha
             assert tuple(F(s, form.share_den) for s in form.share) == g.share
-            # the same integer form a game built from the Fractions has
-            assert single_market(g.alpha, g.share).integer_form == form
+
+    def test_integer_form_is_not_a_constructor_argument(self):
+        # the form is always built from alpha and share, so no caller can
+        # hand the checks a form that differs from the game's own fields
+        g = single_market([2, 1], [F(1, 2)] * 2)
+        other = single_market([3, 1], [F(1, 3), F(2, 3)])
+        with pytest.raises(TypeError):
+            SingleMarketGame(g.alpha, g.share, g.perm, g.scale, other.integer_form)
 
 
 class TestChecksKeepTheirText:
