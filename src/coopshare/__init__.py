@@ -48,7 +48,6 @@ from .nucleolus import (
 from .ratlp import (
     LinearProgram,
     LpResult,
-    dual_of,
     linear_program,
     rat,
     solve_lp,

@@ -559,6 +559,8 @@ def core_check(
         x = x.values
     if isinstance(v, SingleMarketGame):
         g = v
+        if len(x) != g.n:
+            raise InputError(f"payoff vector has length {len(x)}, expected {g.n}")
         xs, den = _numerators([rat(c) for c in x])
         if sum(xs) * g.alpha[0].denominator != g.alpha[0].numerator * den:
             raise InputError("allocation does not distribute v(N) exactly")
@@ -569,10 +571,10 @@ def core_check(
 
     if n is None:
         raise InputError("core_check with a value oracle needs the player count")
-    table, den = coalition_table(v, n, ENUMERATION_LIMIT, "core enumeration")
     x = [rat(c) for c in x]
     if len(x) != n:
         raise InputError(f"payoff vector has length {len(x)}, expected {n}")
+    table, den = coalition_table(v, n, ENUMERATION_LIMIT, "core enumeration")
     excess, big = excesses(table, den, x)
     if excess[-1]:
         raise InputError("allocation does not distribute v(N) exactly")

@@ -116,7 +116,7 @@ def step_size(
         raise InternalError("step_size called with nothing left to fix")
     if len(x) != g.n:
         raise InputError(f"payoff vector has length {len(x)}, expected {g.n}")
-    nums, den = g.integer_form.numerators([*x, epsilon])
+    nums, den = g.integer_form.numerators([rat(v) for v in (*x, epsilon)])
     eps = nums.pop()
     lam, mask = _step(g, nums, eps, den, fixed.mask, _orders(g, nums, den, fixed.mask))
     return lam, Coalition(mask)
@@ -282,13 +282,14 @@ def separate(
     span tests use integer Gaussian elimination on coalition masks.
     """
     n = g.n
-    x = [rat(v) for v in x]
+    x, epsilon = [rat(v) for v in x], rat(epsilon)
     if len(x) != n:
         raise InputError(f"point has length {len(x)}, expected {n}")
     if sum(x) != g.alpha[0]:
         raise InputError("separation point must distribute v(N) exactly")
     span = _MaskSpan(n)
     for coalition, value in fixed:
+        value = rat(value)
         if sum(x[k - 1] for k in coalition.members()) != value:
             raise InputError(
                 f"separation point violates the fixed value of {coalition}"

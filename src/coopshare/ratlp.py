@@ -7,11 +7,6 @@ tableau is kept fraction-free (integer entries sharing one positive
 divisor), which is much faster than per-entry Fraction arithmetic while
 remaining exact.
 
-For programs with many more constraints than variables the solver
-pivots on the dual program instead and maps the certified optimum back;
-the returned primal solution is still a basic (vertex) solution and the
-returned duals still certify optimality exactly.
-
 `WarmStart` re-solves a program for new right-hand sides; `LazyRows` solves
 the dual of a program whose `>=` rows arrive in batches (the nucleolus
 levels), each row a new column, each re-solve resuming from the last basis.
@@ -426,17 +421,12 @@ def _two_phase(can: _Canonical) -> tuple[str, _Tableau]:
     return tab.run(m + 1, can.n_with_slack), tab
 
 
-def _solve_primal(lp: LinearProgram) -> tuple[LpResult, tuple[bool, ...]]:
-    """Pivot on lp's own tableau.
-
-    Also returns, for an optimal program, which variables end with zero
-    reduced cost: when lp is the dual of a program, those are exactly
-    the program's rows that are tight at the returned solution.
-    """
+def _solve_primal(lp: LinearProgram) -> LpResult:
+    """Pivot on lp's own tableau."""
     can = _Canonical(lp)
     status, tab = _two_phase(can)
     if status != OPTIMAL:
-        return LpResult(status=status), ()
+        return LpResult(status=status)
 
     m, div = tab.m, tab.div
     zvals: dict[int, Fraction] = {}
@@ -463,8 +453,7 @@ def _solve_primal(lp: LinearProgram) -> tuple[LpResult, tuple[bool, ...]]:
 
     # a row is tight iff it is an equality or its slack ends at zero
     tight = tuple(col is None or not zvals.get(col) for col in can.slack_col)
-    priced_out = tuple(cost_row[col] == 0 for col in can.plus_col)
-    return LpResult(OPTIMAL, value, tuple(x), tuple(duals), tight), priced_out
+    return LpResult(OPTIMAL, value, tuple(x), tuple(duals), tight)
 
 
 class WarmStart:
@@ -561,83 +550,9 @@ class LazyRows:
             tuple(v == 0 for v in cost[first:start]) + (True,) * (first // 2))
 
 
-# ---------------------------------------------------------------------------
-# dual construction
-# ---------------------------------------------------------------------------
-
-
-def dual_of(lp: LinearProgram) -> tuple[LinearProgram, tuple[int, ...]]:
-    """Build the dual program.
-
-    Returns (dual, flips) where flips[i] is -1 for rows whose inequality
-    was reversed during normalization; the user dual of row i equals
-    flips[i] times the dual program's variable i.
-    """
-    n, m = lp.num_vars, lp.num_rows
-    keep = LE if lp.sense == MAX else GE
-    flips, rows, rhs, doms = [], [], [], []
-    for i in range(m):
-        rel = lp.relations[i]
-        if rel == EQ:
-            flips.append(1)
-            rows.append(lp.rows[i])
-            rhs.append(lp.rhs[i])
-            doms.append(FREE)
-        elif rel == keep:
-            flips.append(1)
-            rows.append(lp.rows[i])
-            rhs.append(lp.rhs[i])
-            doms.append(NONNEG)
-        else:
-            flips.append(-1)
-            rows.append(tuple(-a if a else a for a in lp.rows[i]))
-            rhs.append(-lp.rhs[i])
-            doms.append(NONNEG)
-
-    dual_sense = MIN if lp.sense == MAX else MAX
-    dual_rel = GE if lp.sense == MAX else LE
-    if m == 0:
-        raise InputError("a linear program needs at least one variable")
-    # the entries were validated when lp was built; transpose them as they are
-    dual = LinearProgram(
-        dual_sense,
-        tuple(rhs),
-        tuple(zip(*rows)),
-        tuple(EQ if d == FREE else dual_rel for d in lp.domains),
-        lp.objective,
-        tuple(doms),
-    )
-    return dual, tuple(flips)
-
-
-def solve_lp(lp: LinearProgram, orientation: str = "auto") -> LpResult:
-    """Solve an LP exactly; deterministic for identical input.
-
-    `orientation` picks the tableau the simplex pivots on: "primal",
-    "dual", or "auto" (dual when constraints far outnumber variables); a
-    program without constraints is always solved on its own tableau.
-    Either orientation certifies the program as given, and reads the
-    tight rows off its final tableau.
-    """
+def solve_lp(lp: LinearProgram) -> LpResult:
+    """Solve an LP exactly on its own tableau; deterministic for identical
+    input."""
     if not isinstance(lp, LinearProgram):
         raise InputError("solve_lp expects a LinearProgram")
-    if orientation not in ("auto", "primal", "dual"):
-        raise InputError(f"unknown orientation {orientation!r}")
-    use_dual = lp.num_rows > 0 and (orientation == "dual" or (
-        orientation == "auto"
-        and lp.num_rows >= max(16, 2 * max(lp.num_vars, 1))
-    ))
-    if not use_dual:
-        return _solve_primal(lp)[0]
-
-    dual, flips = dual_of(lp)
-    res, priced_out = _solve_primal(dual)
-    if res.status == UNBOUNDED:
-        return LpResult(status=INFEASIBLE)
-    if res.status == INFEASIBLE:
-        # primal is unbounded or infeasible; settle it directly
-        return _solve_primal(lp)[0]
-    # dual variable i's reduced cost is row i's slack at the returned x
-    duals = tuple(f * y for f, y in zip(flips, res.x))
-    return LpResult(OPTIMAL, res.value, res.duals, duals, priced_out)
-
+    return _solve_primal(lp)

@@ -1,7 +1,7 @@
 """Shared helpers: seeded random generators, exact LP certificate checks, the
-nucleolus level program, a reference row space and a reference linear
-solver, the Shapley ordering weights, and Fraction references for the
-enumerating routes."""
+nucleolus level program, a reference LP solve on the dual tableau, a
+reference row space and a reference linear solver, the Shapley ordering
+weights, and Fraction references for the enumerating routes."""
 
 import random
 from fractions import Fraction
@@ -16,11 +16,13 @@ from coopshare import (
     InputError,
     Instance,
     InternalError,
+    LpResult,
     SingleMarketGame,
     normalize,
     single_market,
+    solve_lp,
 )
-from coopshare.ratlp import EQ, FREE, GE, MAX, LinearProgram
+from coopshare.ratlp import EQ, FREE, GE, LE, MAX, MIN, NONNEG, LinearProgram
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SINGLE_MARKET_FIXTURE = FIXTURES / "single_market_demo.json"
@@ -90,6 +92,48 @@ def level_program(n, masks, values, fixed) -> LinearProgram:
     rels = (GE,) * len(masks) + (EQ,) * len(fixed)
     rhs = tuple(values[m] for m in masks) + tuple(r for _, r in fixed)
     return LinearProgram(MAX, (0,) * n + (1,), rows, rels, rhs, (FREE,) * (n + 1))
+
+
+def dual_program(lp: LinearProgram) -> tuple[LinearProgram, tuple[int, ...]]:
+    """The dual of a program with at least one row, and flips[i] = -1 where
+    row i's inequality was reversed: row i's dual is flips[i] times the
+    dual program's variable i."""
+    keep = LE if lp.sense == MAX else GE
+    flips, rows, rhs, doms = [], [], [], []
+    for row, rel, b in zip(lp.rows, lp.relations, lp.rhs):
+        flip = -1 if rel not in (EQ, keep) else 1
+        flips.append(flip)
+        rows.append(row if flip == 1 else tuple(-a for a in row))
+        rhs.append(flip * b)
+        doms.append(FREE if rel == EQ else NONNEG)
+    dual_rel = GE if lp.sense == MAX else LE
+    dual = LinearProgram(
+        MIN if lp.sense == MAX else MAX, tuple(rhs), tuple(zip(*rows)),
+        tuple(EQ if d == FREE else dual_rel for d in lp.domains), lp.objective, tuple(doms),
+    )
+    return dual, tuple(flips)
+
+
+def solve_on_dual(lp: LinearProgram, tight: bool = False) -> LpResult:
+    """Reference cold solve for programs with many more rows than variables,
+    such as the 2^n - 2-row nucleolus level programs: `solve_lp` on the
+    dual program, with x, the duals and the status mapped back; it shares
+    no code with `LazyRows`, the level tableau it checks.  Tight rows are
+    read off the row activities, and only when asked for."""
+    if not lp.num_rows:
+        return solve_lp(lp)
+    dual, flips = dual_program(lp)
+    res = solve_lp(dual)
+    if res.status == "unbounded":
+        return LpResult("infeasible")
+    if res.status == "infeasible":  # lp is unbounded or infeasible: settle it directly
+        return solve_lp(lp)
+    x = res.duals  # the dual program's row multipliers are lp's variables
+    tight_rows = None
+    if tight:
+        tight_rows = tuple(sum(a * v for a, v in zip(row, x) if a) == b
+                           for row, b in zip(lp.rows, lp.rhs))
+    return LpResult("optimal", res.value, x, tuple(f * y for f, y in zip(flips, res.x)), tight_rows)
 
 
 class RowSpace:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CAPACITATED_FIXTURE,
@@ -645,3 +649,92 @@ class TestHumanReports:
             "error: market decomposition needs unlimited capacities; for finite "
             "capacities use --method nucleolus --oracle or --method shapley --oracle\n",
         )
+
+
+# JSON texts that replace one value of a fixture: negative, zero, float,
+# zero denominator, an integer past the 4300-digit conversion limit, null
+# and a list
+ATOMS = ("-3", "0", "1.5", '"2/0"', HUGE, "null", "[1, 2]")
+# every command and method; `sum-nucleoli` and `core-point` refuse
+# `--oracle` only after reading the file, as the other runs do
+COMMANDS = (
+    ("value", "--coalition", "all", "--plan"),
+    ("allocate", "--method", "nucleolus", "--trace"),
+    ("allocate", "--method", "nucleolus", "--oracle"),
+    ("allocate", "--method", "shapley"),
+    ("allocate", "--method", "shapley", "--oracle"),
+    ("allocate", "--method", "sum-nucleoli"),
+    ("allocate", "--method", "core-point", "--json-style"),
+    ("check",),
+)
+# one `check` allocation per fixture, in the fixture's player order
+ALLOCATIONS = {SM: '["1/3", "1/3", "1/3"]', MM: "[2, 2, 2]", CAP: '["63/4", "25/2", "41/4", "11/2"]'}
+
+
+def _nodes(doc, path):
+    """Every path below `path` into doc."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture and its text after one mutation: in half the examples a
+    value replaced by an atom, else a key deleted or a row duplicated or
+    dropped."""
+    fixture = draw(st.sampled_from((SM, MM, CAP)))
+    with open(fixture, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    kind = draw(st.one_of(st.just("atom"), st.sampled_from(("delete", "duplicate", "drop"))))
+    key = draw(st.sampled_from(sorted(doc)))  # each field equally often
+    paths = [(key,), *_nodes(doc[key], (key,))]
+    if kind != "atom":
+        container = dict if kind == "delete" else list
+        paths = [p for p in paths if isinstance(_at(doc, p[:-1]), container)]
+    *where, key = draw(st.sampled_from(paths))
+    parent = _at(doc, where)
+    if kind == "atom":
+        parent[key] = "ATOM"
+    elif kind == "duplicate":
+        parent.insert(key, parent[key])
+    else:
+        del parent[key]
+    return fixture, json.dumps(doc).replace('"ATOM"', draw(st.sampled_from(ATOMS)))
+
+
+class TestMutatedFixtures:
+    """The CLI contract on damaged instance files: every command exits 0, 2,
+    3 or 4, and nothing but argparse's SystemExit escapes `main`."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(mutated_fixtures())
+    def test_every_command_exits_with_a_contract_code(self, tmp_path_factory, mutated):
+        fixture, text = mutated
+        folder = tmp_path_factory.mktemp("mutated")
+        instance, allocation = folder / "instance.json", folder / "allocation.json"
+        instance.write_text(text)
+        allocation.write_text(ALLOCATIONS[fixture])
+        for command, *flags in COMMANDS:
+            argv = [command, str(instance), *([str(allocation)] if command == "check" else flags)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's own exit
+                    code = exc.code
+            assert code in (0, 2, 3, 4), (argv, code)
+            if code:
+                assert out.getvalue() == "" and err.getvalue(), (argv, code)

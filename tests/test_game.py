@@ -232,6 +232,8 @@ class TestChecksKeepTheirText:
         (lambda: Allocation((F(1, 3), F(1, 2)), F(1)), "allocation sums to 5/6, expected 1"),
         (lambda: core_check(single_market([2, 1], [F(1, 2)] * 2), [F(1), F(1, 2)]),
          "allocation does not distribute v(N) exactly"),
+        # the length is checked before efficiency, as on the oracle branch
+        (lambda: core_check(DEMO_GAME, [F(2)]), "payoff vector has length 1, expected 3"),
     ])
     def test_same_error_and_text(self, build, text):
         with pytest.raises(InputError) as err:
@@ -464,7 +466,8 @@ class TestCoreCheck:
         with pytest.raises(SizeError):
             core_check(lambda s: F(0), [F(0)] * 21, 21)
 
-    @pytest.mark.parametrize("x, n", [([1, 1, 1, 0], 3), ([F(3)], 3), ([], 0)])
+    # past the enumeration guard too: the length is checked before the table
+    @pytest.mark.parametrize("x, n", [([1, 1, 1, 0], 3), ([F(3)], 3), ([], 0), ([0] * 20, 21)])
     def test_oracle_payoff_vector_must_fit_the_players(self, x, n):
         with pytest.raises(InputError):
             core_check(lambda s: F(len(s)), x, n)

@@ -13,6 +13,7 @@ from conftest import (
     random_table_oracle,
     random_uncapacitated,
     solve_linear_system,
+    solve_on_dual,
 )
 from coopshare import (
     Coalition,
@@ -102,6 +103,15 @@ class TestStepSize:
     def test_wrong_length_rejected(self):
         with pytest.raises(InputError, match="length 2, expected 3"):
             step_size(DEMO_GAME, [F(1, 2), F(1, 2)], F(0), Coalition(0))
+
+    def test_point_and_level_read_exactly(self):
+        g = single_market([3, 1], [F(1, 2), F(1, 2)])
+        exact = step_size(g, [F(3, 2), F(3, 2)], F(0), Coalition(0))
+        assert step_size(g, ["3/2", "3/2"], "0", Coalition(0)) == exact
+        assert step_size(g, [F(3, 2), F(3, 2)], 0, Coalition(0)) == exact
+        for x, eps in (([1.5, F(3, 2)], F(0)), ([F(3, 2)] * 2, 0.0), ([F(3, 2)] * 2, "1/0")):
+            with pytest.raises(InputError):
+                step_size(g, x, eps, Coalition(0))
 
 
 class TestPrimalDual:
@@ -217,6 +227,15 @@ class TestSeparate:
         fixed = [(Coalition.full(3), F(1))]
         with pytest.raises(InputError):
             separate(DEMO_GAME, [F(1), F(1), F(1)], F(0), fixed)
+
+    def test_level_and_fixed_values_read_exactly(self):
+        x = [F(1, 2), F(1, 4), F(1, 4)]
+        found = separate(DEMO_GAME, x, F(1, 2), [(Coalition.full(3), F(1))])
+        assert separate(DEMO_GAME, ["1/2", "1/4", "1/4"], "1/2",
+                        [(Coalition.full(3), "1")]) == found
+        for eps, total in ((0.5, F(1)), ("1/2", 1.0), ("0.5", F(1)), (F(1, 2), "1/0")):
+            with pytest.raises(InputError):
+                separate(DEMO_GAME, x, eps, [(Coalition.full(3), total)])
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(59)
@@ -380,7 +399,7 @@ class TestLevelProgramCertificates:
         # level programs are degenerate, with many rows and only free
         # variables; the separation route reads res.tight off them.  Every
         # warm solve is certified against the program it stands for, which
-        # `solve_lp` also certifies in both orientations.
+        # `solve_lp` and the reference on its dual tableau also certify.
         levels = record_levels(monkeypatch)
         rng = random.Random(2604)
         with_cuts = {"separation": False, "brute force": False}
@@ -401,8 +420,7 @@ class TestLevelProgramCertificates:
         for level in levels:
             for lp, warm in level.programs():
                 assert_optimal_certificate(lp, warm)
-                for orientation in ("primal", "dual"):
-                    res = solve_lp(lp, orientation=orientation)
+                for res in (solve_lp(lp), solve_on_dual(lp, tight=True)):
                     assert_optimal_certificate(lp, res)
 
 
@@ -474,7 +492,7 @@ def reference_bruteforce(value, n):
         eq_rows = tuple(chi(m) for m, _ in fixed)
         eq_rhs = tuple(r for _, r in fixed)
         rels = (GE,) * len(free) + (EQ,) * len(fixed)
-        level = solve_lp(LinearProgram(
+        level = solve_on_dual(LinearProgram(
             MAX, (0,) * n + (1,),
             tuple(chi(m) + (-1,) for m in free) + tuple(r + (0,) for r in eq_rows),
             rels, tuple(vals[m] for m in free) + eq_rhs, (FREE,) * (n + 1),
@@ -490,7 +508,7 @@ def reference_bruteforce(value, n):
             at_mean = sum(point_sum[k] for k in range(n) if m >> k & 1)
             if at_mean > (vals[m] + eps) * points or constant.contains(chi(m)):
                 continue
-            probe = solve_lp(
+            probe = solve_on_dual(
                 LinearProgram(MAX, chi(m), face_rows, rels, face_rhs, (FREE,) * n)
             )
             if probe.value == vals[m] + eps:
@@ -564,10 +582,10 @@ class TestBruteForceOnGeneralGames:
         for module in list(sys.modules.values()):
             real_solve = getattr(module, "solve_lp", None)
             if module.__name__.startswith("coopshare") and real_solve is not None:
-                def solve(lp, *args, real_solve=real_solve, **kwargs):
+                def solve(lp, real_solve=real_solve):
                     if in_loop:
                         lp_calls.append(lp)
-                    return real_solve(lp, *args, **kwargs)
+                    return real_solve(lp)
 
                 monkeypatch.setattr(module, "solve_lp", solve)
         monkeypatch.setattr(nucleolus_module, "_sequential_lp", loop)

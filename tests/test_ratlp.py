@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RowSpace, assert_optimal_certificate, level_program, solve_linear_system
+from conftest import (
+    RowSpace,
+    assert_optimal_certificate,
+    dual_program,
+    level_program,
+    solve_linear_system,
+    solve_on_dual,
+)
 from coopshare import (
     InputError,
     InternalError,
-    dual_of,
     linear_program,
     rat,
     solve_lp,
@@ -68,19 +74,19 @@ def test_worst_excess_program_three_player():
         rows.append((coeffs + [F(-1)], ">=", value))
     rows.append(([1, 1, 1, 0], "=", 1))
     lp = linear_program("max", [0, 0, 0, 1], rows, domains=["free"] * 4)
-    for orientation in ("primal", "dual"):
-        res = solve_lp(lp, orientation=orientation)
+    for res in (solve_lp(lp), solve_on_dual(lp, tight=True)):
         assert res.value == 0
         assert res.x[:3] == (F(1, 3), F(1, 3), F(1, 3))
         assert_optimal_certificate(lp, res)
 
 
-@pytest.mark.parametrize("orientation", ["auto", "primal", "dual"])
-def test_statuses(orientation):
-    # on the dual tableau an infeasible program has an unbounded dual, and
-    # an unbounded one an infeasible dual, settled on the primal tableau
+@pytest.mark.parametrize("solver", [solve_lp, solve_on_dual], ids=["primal", "dual"])
+def test_statuses(solver):
+    # on the dual tableau (the test-only reference) an infeasible program
+    # has an unbounded dual, and an unbounded one an infeasible dual,
+    # settled on the primal tableau
     def solve(*args, **kwargs):
-        return solve_lp(linear_program(*args, **kwargs), orientation=orientation)
+        return solver(linear_program(*args, **kwargs))
 
     assert solve("max", [1], [([1], "<=", 1), ([1], ">=", 2)]).status == "infeasible"
     assert solve("max", [1], [([1], ">=", 3)]).status == "unbounded"
@@ -151,8 +157,8 @@ def test_random_certificates():
         statuses[res.status] += 1
         if res.status == "optimal":
             assert_optimal_certificate(lp, res)
-            # both orientations agree on the exact optimum
-            other = solve_lp(lp, orientation="dual")
+            # the reference on the dual tableau agrees on the exact optimum
+            other = solve_on_dual(lp, tight=True)
             assert other.status == "optimal"
             assert other.value == res.value
             assert_optimal_certificate(lp, other)
@@ -164,11 +170,11 @@ def test_dual_construction_round_trip():
     rng = random.Random(5)
     for _ in range(60):
         lp = _random_lp(rng)
-        res = solve_lp(lp, orientation="primal")
+        res = solve_lp(lp)
         if res.status != "optimal":
             continue
-        dual, _ = dual_of(lp)
-        dres = solve_lp(dual, orientation="primal")
+        dual, _ = dual_program(lp)
+        dres = solve_lp(dual)
         assert dres.status == "optimal"
         assert dres.value == res.value
 
@@ -318,9 +324,9 @@ def test_lazy_rows_refusals():
 def test_programs_without_rows_in_both_orientations():
     for objective, status, value in (([0], "optimal", 0), ([1], "unbounded", None)):
         lp = linear_program("max", objective, [])
-        results = [solve_lp(lp, orientation=o) for o in ("auto", "primal", "dual")]
+        results = [solve_lp(lp), solve_on_dual(lp)]
         assert results[0].status == status and results[0].value == value
-        assert results[1:] == results[:-1]
+        assert results[1] == results[0]
 
 
 def test_solve_linear_system():
