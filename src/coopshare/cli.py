@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .errors import InputError, InternalError, SizeError
@@ -39,6 +40,7 @@ from .shapley import SUBSET_LIMIT, shapley_bruteforce
 METHODS = ("nucleolus", "shapley", "sum-nucleoli", "core-point")
 
 
+@cache  # on first use, not at import; building costs several times a parse
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coopshare",

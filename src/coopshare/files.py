@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InputError
 from .game import Instance
@@ -31,13 +31,8 @@ def _number(value, where: str) -> Fraction:
         raise InputError(f"{where}: {exc}") from None
 
 
-def _capacity(value, where: str) -> Optional[Fraction]:
-    if value == "inf":
-        return None
-    return _number(value, where)
-
-
 def loads_instance(text: str) -> Instance:
+    """Read an instance document; `Instance` checks the fields it holds."""
     try:
         doc = json.loads(text, parse_float=_reject_float, parse_int=rat)
     except json.JSONDecodeError as exc:
@@ -47,52 +42,20 @@ def loads_instance(text: str) -> Instance:
     for key in ("players", "markets", "cost", "demand", "capacity"):
         if key not in doc:
             raise InputError(f"instance document is missing {key!r}")
-
-    players = doc["players"]
-    if not isinstance(players, list) or not all(isinstance(p, str) for p in players):
-        raise InputError("players must be a list of names")
-    if len(set(players)) != len(players):
-        raise InputError("player names must be unique")
-
-    markets, price = [], []
-    if not isinstance(doc["markets"], list):
+    markets = doc["markets"]
+    if not isinstance(markets, list):
         raise InputError("markets must be a list of {name, price} objects")
-    for j, entry in enumerate(doc["markets"]):
+    for j, entry in enumerate(markets):
         if not isinstance(entry, dict) or "name" not in entry or "price" not in entry:
-            raise InputError(f"markets[{j}] must be an object with name and price")
-        if not isinstance(entry["name"], str):
-            raise InputError(f"markets[{j}].name must be a string")
-        markets.append(entry["name"])
-        price.append(_number(entry["price"], f"markets[{j}].price"))
-    if len(set(markets)) != len(markets):
-        raise InputError("market names must be unique")
-
-    n, m = len(players), len(markets)
-
-    def matrix(key: str):
-        raw = doc[key]
-        if not isinstance(raw, list) or len(raw) != n:
-            raise InputError(f"{key} must have one row per player ({n})")
-        rows = []
-        for i, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != m:
-                raise InputError(f"{key}[{i}] must list {m} market values")
-            rows.append(
-                tuple(_number(v, f"{key}[{i}][{j}]") for j, v in enumerate(row))
-            )
-        return tuple(rows)
-
-    raw_cap = doc["capacity"]
-    if not isinstance(raw_cap, list) or len(raw_cap) != n:
-        raise InputError(f"capacity must list one value per player ({n})")
-    capacity = tuple(
-        _capacity(v, f"capacity[{i}]") for i, v in enumerate(raw_cap)
-    )
-
-    return Instance(
-        tuple(players), tuple(markets), tuple(price),
-        matrix("cost"), matrix("demand"), capacity,
-    )
+            raise InputError(f"markets[{j + 1}] must be an object with name and price")
+    capacity = doc["capacity"]
+    if isinstance(capacity, list):
+        if None in capacity:
+            raise InputError(f'capacity[{capacity.index(None) + 1}]: write "inf", not null')
+        capacity = [None if q == "inf" else q for q in capacity]
+    names = [entry["name"] for entry in markets]
+    prices = [entry["price"] for entry in markets]
+    return Instance(doc["players"], names, prices, doc["cost"], doc["demand"], capacity)
 
 
 def parse_instance(path: str) -> Instance:
@@ -147,7 +110,7 @@ def parse_allocation(path: str, players: Sequence[str]) -> tuple[Fraction, ...]:
             raise InputError(
                 f"allocation lists {len(doc)} values for {len(players)} players"
             )
-        return tuple(_number(v, f"allocation[{i}]") for i, v in enumerate(doc))
+        return tuple(_number(v, f"allocation[{i + 1}]") for i, v in enumerate(doc))
     raise InputError("allocation document must be a mapping or a list")
 
 

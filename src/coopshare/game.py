@@ -20,7 +20,8 @@ from .errors import (
     InternalError,
     SizeError,
 )
-from .ratlp import EQ, LE, MAX, NONNEG, OPTIMAL, LinearProgram, WarmStart, rat, solve_lp
+from .ratlp import (EQ, LE, MAX, NONNEG, OPTIMAL, LinearProgram, WarmStart, _shown, rat,
+                    solve_lp)
 
 ENUMERATION_LIMIT = 20  # 2^n coalition scans are desk-scale tools only
 
@@ -80,41 +81,89 @@ class Coalition:
         return "{" + ",".join(str(p) for p in self.members()) + "}"
 
 
-def _matrix(values, n: int, m: int, what: str) -> tuple[tuple[Fraction, ...], ...]:
-    rows = tuple(tuple(rat(v) for v in row) for row in values)
-    if len(rows) != n or any(len(r) != m for r in rows):
-        raise InputError(f"{what} must be an {n} x {m} matrix")
-    return rows
+def _at(what: str, *index: int) -> str:
+    """`what` subscripted by 0-based indices, counted from 1 in the text."""
+    return what + "".join(f"[{k + 1}]" for k in index)
 
 
-def _demand_and_capacity(
-    demand, capacity, n: int, m: int
-) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Optional[Fraction], ...]]:
-    """The checked demand matrix and capacities of an n x m instance.
+def _names(values, what: str) -> tuple[str, ...]:
+    """A nonempty list of unique strings."""
+    if not isinstance(values, (list, tuple)):
+        raise InputError(f"{what} must be a list of names")
+    if not values:
+        raise InputError("need at least one player and one market")
+    for k, name in enumerate(values):
+        if not isinstance(name, str):
+            raise InputError(f"{_at(what, k)}: name must be a string")
+    if len(set(values)) != len(values):
+        raise InputError(f"names in {what} must be unique")
+    return tuple(values)
 
-    Demands are nonnegative and every finite capacity covers the
-    player's own total demand.
-    """
-    demand = _matrix(demand, n, m, "demand")
-    caps = tuple(None if q is None else rat(q) for q in capacity)
-    if len(caps) != n:
-        raise InputError(f"capacity must list {n} values")
-    for i in range(n):
-        for j in range(m):
-            if demand[i][j].numerator < 0:
-                raise InputError(
-                    f"demand[{i + 1}][{j + 1}] is negative: {demand[i][j]}"
-                )
-        if caps[i] is not None and caps[i] < (own := sum(demand[i])):
+
+def _row(values, m: int, what: str, *index: int, nonnegative=False, optional=False):
+    """m rationals, or None where `optional`; each number is read by `rat`
+    once.  `what` and `index` locate the row, formatted only on an error."""
+    if not isinstance(values, (list, tuple)) or len(values) != m:
+        raise InputError(f"{_at(what, *index)} must be a list of length {m}")
+    row = []
+    for j, value in enumerate(values):
+        if value is not None or not optional:
+            try:
+                value = rat(value)
+            except InputError as exc:
+                raise InputError(f"{_at(what, *index, j)}: {exc}") from None
+            if nonnegative and value.numerator < 0:
+                raise InputError(f"{_at(what, *index, j)} is negative: {_shown(value)}")
+        row.append(value)
+    return tuple(row)
+
+
+def _matrix(values, n: int, m: int, what: str, nonnegative=False):
+    """An n x m matrix of rationals, one row per player."""
+    if not isinstance(values, (list, tuple)) or len(values) != n:
+        raise InputError(f"{what} must list one row per player ({n})")
+    return tuple(_row(r, m, what, i, nonnegative=nonnegative) for i, r in enumerate(values))
+
+
+def _capacities(values, demand) -> tuple[Optional[Fraction], ...]:
+    """One capacity per player: None for an unbounded producer, else a
+    rational that covers the player's own total demand."""
+    caps = _row(values, len(demand), "capacity", optional=True)
+    for i, cap in enumerate(caps):
+        if cap is not None and cap < (own := sum(demand[i])):
             raise InputError(
-                f"capacity[{i + 1}] = {caps[i]} cannot serve the player's "
-                f"own demand {own}"
+                f"{_at('capacity', i)} = {_shown(cap)} cannot serve the "
+                f"player's own demand {_shown(own)}"
             )
-    return demand, caps
+    return caps
+
+
+class _InstanceBase:
+    """What both instance types share: names, demands and capacities.
+    Input errors count subscripts from 1; every field is stored as a tuple."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "players", _names(self.players, "players"))
+        object.__setattr__(self, "markets", _names(self.markets, "markets"))
+        demand = _matrix(self.demand, self.n, self.m, "demand", nonnegative=True)
+        object.__setattr__(self, "demand", demand)
+        object.__setattr__(self, "capacity", _capacities(self.capacity, demand))
+
+    @property
+    def n(self) -> int:
+        return len(self.players)
+
+    @property
+    def m(self) -> int:
+        return len(self.markets)
+
+    @property
+    def uncapacitated(self) -> bool:
+        return all(q is None for q in self.capacity)
 
 
 @dataclass(frozen=True)
-class Instance:
+class Instance(_InstanceBase):
     """Raw multi-market data: prices, unit costs, owned demands, capacities.
 
     capacity[i] is None for an unbounded producer.  Every producer must
@@ -129,32 +178,13 @@ class Instance:
     capacity: tuple[Optional[Fraction], ...]
 
     def __post_init__(self):
-        n, m = len(self.players), len(self.markets)
-        if n == 0 or m == 0:
-            raise InputError("need at least one player and one market")
-        if len(self.price) != m:
-            raise InputError(f"price must list {m} values")
-        object.__setattr__(self, "cost", _matrix(self.cost, n, m, "cost"))
-        demand, caps = _demand_and_capacity(self.demand, self.capacity, n, m)
-        object.__setattr__(self, "demand", demand)
-        object.__setattr__(self, "price", tuple(rat(v) for v in self.price))
-        object.__setattr__(self, "capacity", caps)
-
-    @property
-    def n(self) -> int:
-        return len(self.players)
-
-    @property
-    def m(self) -> int:
-        return len(self.markets)
-
-    @property
-    def uncapacitated(self) -> bool:
-        return all(q is None for q in self.capacity)
+        super().__post_init__()
+        object.__setattr__(self, "price", _row(self.price, self.m, "price"))
+        object.__setattr__(self, "cost", _matrix(self.cost, self.n, self.m, "cost"))
 
 
 @dataclass(frozen=True)
-class NormalizedInstance:
+class NormalizedInstance(_InstanceBase):
     """Instance with prices and costs folded into unit profits >= 0."""
 
     players: tuple[str, ...]
@@ -164,30 +194,9 @@ class NormalizedInstance:
     capacity: tuple[Optional[Fraction], ...]
 
     def __post_init__(self):
-        n, m = len(self.players), len(self.markets)
-        profit = _matrix(self.profit, n, m, "profit")
-        for i in range(n):
-            for j in range(m):
-                if profit[i][j].numerator < 0:
-                    raise InputError(
-                        f"profit[{i + 1}][{j + 1}] is negative: {profit[i][j]}"
-                    )
-        demand, caps = _demand_and_capacity(self.demand, self.capacity, n, m)
+        super().__post_init__()
+        profit = _matrix(self.profit, self.n, self.m, "profit", nonnegative=True)
         object.__setattr__(self, "profit", profit)
-        object.__setattr__(self, "demand", demand)
-        object.__setattr__(self, "capacity", caps)
-
-    @property
-    def n(self) -> int:
-        return len(self.players)
-
-    @property
-    def m(self) -> int:
-        return len(self.markets)
-
-    @property
-    def uncapacitated(self) -> bool:
-        return all(q is None for q in self.capacity)
 
 
 def normalize(inst: Instance) -> NormalizedInstance:
@@ -202,9 +211,7 @@ def normalize(inst: Instance) -> NormalizedInstance:
             num = r.numerator * c.denominator - c.numerator * r.denominator
             margins.append(Fraction(max(0, num), r.denominator * c.denominator))
         profit.append(tuple(margins))
-    return NormalizedInstance(
-        inst.players, inst.markets, tuple(profit), inst.demand, inst.capacity
-    )
+    return NormalizedInstance(inst.players, inst.markets, profit, inst.demand, inst.capacity)
 
 
 def _numerators(values: Sequence[Fraction], base: int = 1) -> tuple[list[int], int]:

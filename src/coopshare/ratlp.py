@@ -29,6 +29,15 @@ MAX, MIN = "max", "min"
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
+def _shown(value, show=str) -> str:
+    """show(value) for an error text, or a stand-in when a number in value
+    has more digits than the interpreter converts to text."""
+    try:
+        return show(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def rat(value) -> Fraction:
     """Parse an exact rational from an int, Fraction, or "p/q" string.
 
@@ -57,7 +66,7 @@ def rat(value) -> Fraction:
             raise InputError(
                 f"rational of {len(text)} characters is too long to read"
             ) from None
-    raise InputError(f"not a rational number: {value!r}")
+    raise InputError(f"not a rational number: {_shown(value, repr)}")
 
 
 @dataclass(frozen=True)

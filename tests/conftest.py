@@ -29,6 +29,12 @@ SINGLE_MARKET_FIXTURE = FIXTURES / "single_market_demo.json"
 MULTI_MARKET_FIXTURE = FIXTURES / "multi_market_demo.json"
 CAPACITATED_FIXTURE = FIXTURES / "capacitated_demo.json"
 
+HUGE = "7" * 5000  # past the interpreter's 4300-digit int conversion limit
+# JSON texts that replace one value of an input: negative, zero, float,
+# zero denominator, an integer past the 4300-digit conversion limit, null
+# and a list
+ATOMS = ("-3", "0", "1.5", '"2/0"', HUGE, "null", "[1, 2]")
+
 
 def random_single_market(rng: random.Random, n: int) -> SingleMarketGame:
     alpha = sorted(

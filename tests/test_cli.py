@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ATOMS,
     CAPACITATED_FIXTURE,
+    HUGE,
     MULTI_MARKET_FIXTURE,
     SINGLE_MARKET_FIXTURE,
     random_uncapacitated,
@@ -77,14 +80,26 @@ class TestInstanceFiles:
         with pytest.raises(InputError, match="price"):
             parse_instance(str(path))
 
-    def test_errors_name_the_field(self, tmp_path):
+    def _bad_demand(self, tmp_path, cell):
         path = tmp_path / "bad.json"
         path.write_text(
             '{"players": ["a", "b"], "markets": [{"name": "m", "price": 1}],'
-            ' "cost": [[1], [1]], "demand": [[1], ["2/x"]], "capacity": ["inf", "inf"]}'
+            ' "cost": [[1], [1]], "demand": [[1], [CELL]], "capacity": ["inf", "inf"]}'
+            .replace("CELL", cell)
         )
-        with pytest.raises(InputError, match=r"demand\[1\]\[0\]"):
+        with pytest.raises(InputError) as err:
             parse_instance(str(path))
+        return str(err.value)
+
+    def test_errors_name_the_field(self, tmp_path):
+        error = self._bad_demand(tmp_path, '"2/x"')
+        assert error.startswith("demand[2][1]: malformed rational '2/x'")
+
+    def test_malformed_and_negative_cells_are_named_alike(self, tmp_path):
+        # a number that does not read and one that reads but is negative:
+        # both errors count the player and the market from 1
+        assert self._bad_demand(tmp_path, "-1") == "demand[2][1] is negative: -1"
+        assert self._bad_demand(tmp_path, '"2/x"').startswith("demand[2][1]:")
 
 
 class TestDecimalString:
@@ -336,7 +351,6 @@ class TestAllocateCommand:
         assert "(= 1.50)" in out
 
 
-HUGE = "7" * 5000  # past the interpreter's 4300-digit int conversion limit
 SMALL_INSTANCE = (
     '{"players": ["a", "b"], "markets": [{"name": "m", "price": PRICE}],'
     ' "cost": [[1], [2]], "demand": [[1], [1]], "capacity": ["inf", "inf"]}'
@@ -651,10 +665,6 @@ class TestHumanReports:
         )
 
 
-# JSON texts that replace one value of a fixture: negative, zero, float,
-# zero denominator, an integer past the 4300-digit conversion limit, null
-# and a list
-ATOMS = ("-3", "0", "1.5", '"2/0"', HUGE, "null", "[1, 2]")
 # every command and method; `sum-nucleoli` and `core-point` refuse
 # `--oracle` only after reading the file, as the other runs do
 COMMANDS = (
@@ -738,3 +748,20 @@ class TestMutatedFixtures:
             assert code in (0, 2, 3, 4), (argv, code)
             if code:
                 assert out.getvalue() == "" and err.getvalue(), (argv, code)
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        run(capsys, "value", MM)  # builds the parser unless an earlier test did
+        before = len(built)
+        report = "coalition: B, C\nvalue: 2 (= 2.000000)\n"
+        assert run(capsys, "value", MM, "--coalition", "B,C") == (0, report, "")
+        assert len(built) == before

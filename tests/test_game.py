@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ATOMS,
+    HUGE,
     random_capacitated_integral,
     random_coalition,
     random_single_market,
@@ -97,6 +100,122 @@ class TestInstanceValidation:
             NormalizedInstance(
                 ("a",), ("m",), ((F(1),),), ((F(3),),), (F(2),)
             )
+
+
+# ATOMS as Python values: what `json` reads, except that the huge
+# integer, which `json` refuses to read, is built directly
+HUGE_INT = 10 ** len(HUGE)
+PYTHON_ATOMS = [HUGE_INT if text == HUGE else json.loads(text) for text in ATOMS]
+
+
+@st.composite
+def damaged_instance_arguments(draw):
+    """Valid raw keyword arguments of `Instance` or `NormalizedInstance`,
+    given as lists, with one field, row or entry replaced by an atom, a
+    list holding the huge integer, a scalar, a short copy or a copy whose
+    first entry repeats."""
+    kind = draw(st.sampled_from((Instance, NormalizedInstance)))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    numbers = st.sampled_from((0, 1, 2, 7, "1/2", "5/3", F(9, 4)))
+
+    def matrix():
+        return [[draw(numbers) for _ in range(m)] for _ in range(n)]
+
+    args = {"players": [f"p{i}" for i in range(n)], "markets": [f"m{j}" for j in range(m)]}
+    if kind is Instance:
+        args.update(price=[draw(numbers) for _ in range(m)], cost=matrix())
+    else:
+        args.update(profit=matrix())
+    args["demand"] = matrix()
+    args["capacity"] = [
+        draw(st.sampled_from((None, str(sum(map(F, row)))))) for row in args["demand"]
+    ]
+    parent, key = args, draw(st.sampled_from(sorted(args)))
+    while isinstance(parent[key], list) and draw(st.booleans()):
+        parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
+    old = parent[key]
+    damage = [*PYTHON_ATOMS, [HUGE_INT], 5]
+    if isinstance(old, list):
+        damage += [old[:-1], old[:1] + old[:-1]]
+    parent[key] = draw(st.sampled_from(damage))
+    return kind, args
+
+
+def _assert_well_formed(inst):
+    n, m = inst.n, inst.m
+    assert n and m and len(set(inst.players)) == n and len(set(inst.markets)) == m
+    assert all(type(name) is str for name in inst.players + inst.markets)
+    if isinstance(inst, Instance):
+        assert type(inst.price) is tuple and len(inst.price) == m
+        assert all(type(v) is F for v in inst.price)
+        matrices, signed = (inst.cost, inst.demand), (inst.demand,)
+    else:
+        matrices = signed = (inst.profit, inst.demand)
+    for matrix in matrices:
+        assert type(matrix) is tuple and len(matrix) == n
+        assert all(type(r) is tuple and len(r) == m for r in matrix)
+        assert all(type(v) is F for r in matrix for v in r)
+    assert all(v >= 0 for matrix in signed for r in matrix for v in r)
+    assert type(inst.capacity) is tuple and len(inst.capacity) == n
+    for cap, row in zip(inst.capacity, inst.demand):
+        assert cap is None or (type(cap) is F and cap >= sum(row))
+    hash(inst)
+
+
+class TestInstanceContract:
+    """Both instance constructors take outside input: they raise InputError
+    or hold checked, hashable tuples, whatever they are given."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(damaged_instance_arguments())
+    def test_only_input_errors_escape(self, case):
+        kind, args = case
+        try:
+            inst = kind(**args)
+        except InputError:
+            return
+        _assert_well_formed(inst)
+
+    def test_lists_are_stored_as_tuples(self):
+        inst = Instance(["a", "b"], ["m"], [3], [[1], [2]], [[1], ["1/2"]], [None, 2])
+        same = Instance(
+            ("a", "b"), ("m",), (F(3),), ((F(1),), (F(2),)), ((F(1),), (F(1, 2),)), (None, F(2))
+        )
+        assert inst == same and hash(inst) == hash(same)
+        _assert_well_formed(inst)
+        normalized = NormalizedInstance(["a"], ["m"], [[1]], [[2]], [None])
+        assert normalized.players == ("a",) and normalized.profit == ((F(1),),)
+        _assert_well_formed(normalized)
+
+    @pytest.mark.parametrize("build, text", [
+        (lambda: Instance(("a", "a"), ("m",), (1,), ((0,), (0,)), ((1,), (1,)), (None, None)),
+         "names in players must be unique"),
+        (lambda: NormalizedInstance((1, None), ("m",), ((1,), (1,)), ((1,), (1,)), (None, None)),
+         "players[1]: name must be a string"),
+        (lambda: Instance(("a",), ("m",), (1,), ((0,),), ((1,),), 5),
+         "capacity must be a list of length 1"),
+        (lambda: Instance(("a", "b"), ("m",), (1,), ((0,), (0,)), ((1,), 1), (None, None)),
+         "demand[2] must be a list of length 1"),
+        (lambda: Instance((), ("m",), (1,), (), (), ()),
+         "need at least one player and one market"),
+        (lambda: Instance(("a",), ("m", "n"), (1, "1.5"), ((0, 0),), ((1, 1),), (None,)),
+         "price[2]: malformed rational '1.5': expected 'p' or 'p/q' with q > 0"),
+    ], ids=["duplicate", "not-a-string", "scalar-capacity", "scalar-row", "empty", "price"])
+    def test_errors_name_the_field(self, build, text):
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == text
+
+    def test_huge_numbers_in_error_texts(self):
+        # str() of an int past the 4300-digit limit raises ValueError
+        with pytest.raises(InputError) as err:
+            _instance([1], [[0]], [[HUGE_INT]], capacity=[1])
+        assert str(err.value) == (
+            "capacity[1] = 1 cannot serve the player's own demand <Fraction too long to print>"
+        )
+        with pytest.raises(InputError) as err:
+            _instance([1], [[0]], [[[HUGE_INT]]])
+        assert str(err.value) == "demand[1][1]: not a rational number: <list too long to print>"
 
 
 class TestNormalize:
