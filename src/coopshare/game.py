@@ -37,15 +37,15 @@ class Coalition:
     mask: int
 
     def __post_init__(self):
-        if self.mask < 0:
-            raise InputError("coalition mask cannot be negative")
+        if type(self.mask) is not int or self.mask < 0:  # bool fails the type test too
+            raise InputError(f"not a coalition mask: {_shown(self.mask, repr)}")
 
     @classmethod
     def of(cls, players) -> "Coalition":
         mask = 0
         for p in players:
-            if not isinstance(p, int) or p < 1:
-                raise InputError(f"player index must be a positive int, got {p!r}")
+            if type(p) is not int or p < 1:
+                raise InputError(f"player index must be a positive int, got {_shown(p, repr)}")
             mask |= 1 << (p - 1)
         return cls(mask)
 

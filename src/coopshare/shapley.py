@@ -1,12 +1,12 @@
-"""Shapley values: closed form for single-market games plus a subset oracle
-that reads any characteristic function's integer `game.coalition_table`."""
+"""Shapley values: an O(n) closed form for single-market games, with no
+per-n cache, plus a subset oracle that reads any characteristic
+function's integer `game.coalition_table`."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, lcm
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import InputError
 from .game import Allocation, Coalition, SingleMarketGame, coalition_table, excesses
@@ -37,98 +37,46 @@ def marginal_contribution(g: SingleMarketGame, coalition: Coalition, i: int) -> 
     return lam_rest * (g.alpha[i - 1] - g.alpha[h - 1]) + g.share[i - 1] * g.alpha[i - 1]
 
 
-class _OrderingSums(NamedTuple):
-    """The inner ordering sums of the closed form, over one denominator.
-
-    over[h] / den = sum_l C(n-h, l) beta_{l+2}, under[h] / den =
-    sum_l C(n-h-1, l) beta_{l+2} and third[h] / den = sum_l C(n-h-1, l)
-    beta_{l+3}, indexed by the weaker pivot h (entry 0 unused); over and
-    third are only consulted for h >= 2 and stay 0 at h = 1, where they
-    would index beta past n.  den is a multiple of n.
-    """
-
-    den: int
-    over: tuple[int, ...]
-    under: tuple[int, ...]
-    third: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def _ordering_sums(n: int) -> _OrderingSums:
-    # beta_t = integral_0^1 p^(t-1) (1-p)^(n-t) dp, so by the binomial theorem
-    # sum_l C(m, l) beta_{l+k} = integral p^(k-1) (1-p)^(n-k-m) dp
-    #                          = (k-1)! (n-k-m)! / (n-m)!,
-    # which gives over = 1/(h(h-1)), under = 1/(h(h+1)) and
-    # third = 2/((h-1)h(h+1)); the sums are empty (0) at h = n for the
-    # last two.  Tests check these against the binomial sums themselves.
-    over = [_ZERO] * (n + 1)
-    under = [_ZERO] * (n + 1)
-    third = [_ZERO] * (n + 1)
-    for h in range(1, n + 1):
-        if h >= 2:
-            over[h] = Fraction(1, h * (h - 1))
-        if h < n:
-            under[h] = Fraction(1, h * (h + 1))
-        if 2 <= h < n:
-            third[h] = Fraction(2, (h - 1) * h * (h + 1))
-    den = lcm(n, *(v.denominator for v in over + under + third))
-
-    def scaled(values):
-        return tuple(v.numerator * (den // v.denominator) for v in values)
-
-    return _OrderingSums(den, scaled(over), scaled(under), scaled(third))
-
-
 def shapley_single_market(g: SingleMarketGame) -> Allocation:
-    """Closed-form Shapley value, evaluated block by block.
+    """Closed-form Shapley value: one prefix sum and one suffix sum.
 
-    Kept as four additive blocks (stronger players' margins, the lone
-    term, own-margin over weaker minima, and the upgrade block) so that
-    any transcription slip surfaces against the subset oracle rather
-    than hiding in a hand simplification.  Each block is a prefix or
-    suffix sum over the pivot h, so one game costs O(n) integer
-    operations once the ordering sums for its n (also O(n)) are cached:
+    With d_h = alpha_h - alpha_{h+1} (alpha_{n+1} = 0) the game splits into
+    profit increments, as Littlechild and Owen's airport game does:
 
-        stronger_i = share_i * sum_{h<i} alpha_h * under_h
-        lone_i     = alpha_i * share_i / n
-        own_i      = alpha_i * share_i * sum_{h>i} over_h
-        upgrade_i  = alpha_i * sum_{h>i} c_h - sum_{h>i} alpha_h * c_h,
-                     c_h = share_h * over_h + tail_h * third_h,
+        v(S) = alpha_{min S} * lam(S) = sum_h d_h * lam(S) * [S meets {1..h}],
 
-    where tail_h is the total share of the players after h.  Every value
-    is a numerator over alpha_den * share_den * sums.den.
+    and lam(S) * [S meets {1..h}] sums lam_j over the games
+    [j in S and S meets {1..h}].  In one such game player j alone gets 1
+    if j <= h.  If j > h, j gets h/(h+1) (it is pivotal unless it comes
+    first among {1..h, j}) and each of 1..h gets 1/(h(h+1)) (pivotal when
+    it comes second, after j).  Summing over j and h by linearity,
+
+        phi_i = lam_i * (alpha_1 - sum_{h<i} d_h / (h+1))
+                + sum_{i<=h<n} d_h * T_h / (h(h+1)),
+
+    where T_h is the total share of the players after h.  h + 1 and
+    h(h+1) divide L = lcm(1..n) for h < n, so each value is an integer
+    over alpha_den * share_den * L, and one game costs O(n) integer
+    operations.
     """
     n = g.n
-    sums = _ordering_sums(n)
     form = g.integer_form
     alpha, lam = form.alpha, form.share
-    one_nth = sums.den // n
-
-    under_prefix = [0] * n  # under_prefix[i-1] = sum_{h<i} alpha_h * under_h
-    for h in range(1, n):
-        under_prefix[h] = under_prefix[h - 1] + alpha[h - 1] * sums.under[h]
-    # the suffix sums over the pivots h > i fill as i runs from n down to 1
-    values = [0] * n
-    tail = over_sum = c_sum = ac_sum = 0
-    for i in range(n, 0, -1):
-        a, s = alpha[i - 1], lam[i - 1]
-        stronger = s * under_prefix[i - 1]
-        lone = a * s * one_nth
-        own = a * s * over_sum
-        upgrade = a * c_sum - ac_sum
-        values[i - 1] = stronger + lone + own + upgrade
-        # fold pivot h = i into the suffix sums of the players before it
-        c = s * sums.over[i] + tail * sums.third[i]
-        over_sum += sums.over[i]
-        c_sum += c
-        ac_sum += a * c
-        tail += s
-
+    big = lcm(*range(1, n + 1))
+    upper = [0] * n  # L * the suffix sum over i <= h < n
+    tail = 0  # T_h
+    for h in range(n - 1, 0, -1):
+        tail += lam[h]
+        upper[h - 1] = upper[h] + (alpha[h - 1] - alpha[h]) * tail * (big // (h * (h + 1)))
     scale = g.scale
-    den = form.den * sums.den * scale.denominator
+    den = form.den * big * scale.denominator
     out = [_ZERO] * n
-    for k, v in enumerate(values):
-        out[g.perm[k] - 1] = Fraction(v * scale.numerator, den)
+    lower = alpha[0] * big  # L * (alpha_1 - the prefix sum over h < i)
+    for i in range(1, n + 1):
+        if i > 1:
+            lower -= (alpha[i - 2] - alpha[i - 1]) * (big // i)
+        value = lam[i - 1] * lower + upper[i - 1]
+        out[g.perm[i - 1] - 1] = Fraction(value * scale.numerator, den)
     return Allocation(
         tuple(out), g.alpha[0] * scale, method="shapley (closed form)"
     )

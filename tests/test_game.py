@@ -78,6 +78,11 @@ class TestCoalition:
             Coalition.of([0])
         with pytest.raises(InputError):
             Coalition.of(["a"])
+        with pytest.raises(InputError):
+            Coalition.of([True, 2])
+        for mask in (1.5, True, "3", None, -1):
+            with pytest.raises(InputError):
+                Coalition(mask)
 
 
 class TestInstanceValidation:

@@ -185,7 +185,10 @@ class TestBruteForce:
 
 
 def reference_shapley(g):
-    """The four blocks summed pivot by pivot in Fractions, O(n^2) per game."""
+    """The Shapley value as four blocks (stronger players' margins, the lone
+    term, own margin over weaker minima, and the upgrade block), each summed
+    pivot by pivot in Fractions from the binomial ordering sums, O(n^2) per
+    game: an independent derivation that the closed form must match."""
     n = g.n
     beta = shapley_weights(n).of_size
     alpha, lam = g.alpha, g.share
@@ -218,22 +221,6 @@ def reference_shapley(g):
 
 
 class TestPrefixSums:
-    def test_ordering_sums_match_binomial_definitions(self):
-        from coopshare.shapley import _ordering_sums
-
-        for n in range(1, 41):
-            beta = shapley_weights(n).of_size
-            sums = _ordering_sums(n)
-            for h in range(1, n + 1):
-                under = sum((comb(n - h - 1, l) * beta(l + 2) for l in range(n - h)), F(0))
-                assert F(sums.under[h], sums.den) == under
-                if h >= 2:
-                    over = sum((comb(n - h, l) * beta(l + 2) for l in range(n - h + 1)), F(0))
-                    third = sum((comb(n - h - 1, l) * beta(l + 3) for l in range(n - h)), F(0))
-                    assert F(sums.over[h], sums.den) == over
-                    assert F(sums.third[h], sums.den) == third
-            assert sums.den % n == 0
-
     def test_matches_reference_beyond_the_oracle(self):
         # the subset oracle stops at n = 10; the pivot-by-pivot sums do not
         rng = random.Random(404)
@@ -242,6 +229,25 @@ class TestPrefixSums:
             g = random_single_market(rng, n)
             g = single_market(g.alpha, g.share, scale=F(rng.randint(1, 9), rng.randint(1, 4)))
             assert shapley_single_market(g).values == reference_shapley(g)
+        # distinct profits and integer weights, so no increment d_h is zero
+        for n in (41, 60, 80, 100):
+            alpha = sorted(rng.sample(range(1, 10**6 + 1), n), reverse=True)
+            weights = [rng.randint(1, 1000) for _ in range(n)]
+            total = sum(weights)
+            g = single_market(alpha, [F(w, total) for w in weights], scale=F(total))
+            assert shapley_single_market(g).values == reference_shapley(g)
+
+    def test_profit_increments_sum_to_the_value(self):
+        # v(S) = sum_h d_h * lam(S) * [S meets {1..h}], d_h = alpha_h - alpha_{h+1}
+        rng = random.Random(1973)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            g = random_single_market(rng, n)
+            d = [a - b for a, b in zip(g.alpha, g.alpha[1:] + (F(0),))]
+            for mask in range(1 << n):
+                lam = sum((s for k, s in enumerate(g.share) if mask >> k & 1), F(0))
+                split = sum((d[h] * lam for h in range(n) if mask & ((2 << h) - 1)), F(0))
+                assert split == value_single_market(g, Coalition(mask))
 
     def test_matches_reference_in_original_order(self):
         from coopshare import Instance, normalize, to_single_market
