@@ -285,7 +285,7 @@ class SingleMarketGame:
             raise InputError("shares must be nonnegative")
         if sum(form.share) != form.share_den:
             raise InputError("shares must sum to exactly 1")
-        if sorted(self.perm) != list(range(1, n + 1)):
+        if {type(p) for p in self.perm} != {int} or sorted(self.perm) != list(range(1, n + 1)):
             raise InputError("perm must be a permutation of 1..n")
         if self.scale.numerator <= 0:
             raise InputError("scale must be positive")
@@ -478,7 +478,9 @@ def coalition_table(
     if n > limit:
         raise SizeError(f"{what} is limited to {limit} players, got {n}")
     table, dens = [0] * (1 << n), [1] * (1 << n)  # plain ints: no 2^n Fractions
-    for mask in range(1, 1 << n):
+    for k in range(1, 1 << n):
+        mask = k ^ k >> 1  # Gray order: each coalition one player off the last,
+        # so a warm-started oracle re-solves for a small change
         v = rat(value(Coalition(mask)))
         table[mask], dens[mask] = v.numerator, v.denominator
     den = lcm(*dens)

@@ -18,8 +18,9 @@
 Both LP routes run one level loop, `_sequential_lp`, from the singletons
 and differ only in their cut.  At each level every binding coalition
 (negative multiplier, linearly independent of the already-fixed ones) is
-fixed, so at most n - 1 levels are solved per game, each on one warm
-`ratlp.LazyRows` tableau that re-solves from its last basis after a cut.
+fixed, so at most n - 1 levels are solved per game, all on one warm
+`ratlp.LazyRows` tableau: built once, it re-solves from its last basis
+after a cut and is carried into each next level.
 
 All three agree exactly; the brute-force route is the ground truth the
 fast routes are tested against.
@@ -30,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
@@ -369,8 +370,10 @@ def _sequential_lp(
     the first level's value, the least-core value epsilon_1.
 
     `value(mask)` is v(S).  A level, max epsilon s.t. x(S) - epsilon >=
-    v(S) for the pool and x(T) = r_T for the fixed coalitions, is one
-    `LazyRows` tableau that starts from the pool left outside the span.
+    v(S) for the pool and x(T) = r_T for the fixed coalitions, is solved
+    on one `LazyRows` tableau, built for the first level and carried into
+    each next one, where the newly fixed coalitions join as equalities and
+    the pool rows now in the span leave.
     `cut(x, epsilon, span)` returns coalitions outside the span violated
     at the level optimum, x(S) - v(S) < epsilon; they enter the tableau
     as columns, and the level is re-solved from its last basis until the
@@ -402,10 +405,8 @@ def _sequential_lp(
     def rows(masks):
         return [(_chi(m, n) + (-1,), values[m]) for m in masks]
 
-    while span.rank < n:  # the rank grows every round, or the round raises
-        pool = [m for m in pool if not span.contains(m)]
-        fixed = [(_chi(m, n) + (0,), r) for m, r in zip(span.masks, span.rhs)]
-        level = LazyRows((0,) * n + (1,), fixed, rows(pool))
+    level = LazyRows((0,) * n + (1,), [(_chi(full, n) + (0,), values[full])], rows(pool))
+    while True:  # the rank grows every round, or the round raises
         while True:
             if len(pool) > cut_guard:
                 raise InternalError("cutting-plane pool grew past its guard")
@@ -431,8 +432,12 @@ def _sequential_lp(
                 span.add(mask, values[mask] + level_value)
         if span.rank == rank:
             raise InternalError("no binding independent coalition to fix")
-
-    return res.x[:n], levels[0]
+        if span.rank == n:
+            return res.x[:n], levels[0]
+        keep = [not span.contains(m) for m in pool]
+        pool = list(compress(pool, keep))
+        level.next_level([(_chi(m, n) + (0,), r)
+                          for m, r in zip(span.masks[rank:], span.rhs[rank:])], keep)
 
 
 def nucleolus_separation(g: SingleMarketGame) -> Allocation:

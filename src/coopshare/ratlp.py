@@ -9,7 +9,8 @@ remaining exact.
 
 `WarmStart` re-solves a program for new right-hand sides; `LazyRows` solves
 the dual of a program whose `>=` rows arrive in batches (the nucleolus
-levels), each row a new column, each re-solve resuming from the last basis.
+levels), each row a new column, each re-solve resuming from the last basis,
+and carries its tableau into the next level, so phase 1 starts from there.
 """
 
 from __future__ import annotations
@@ -395,39 +396,39 @@ class _Canonical:
         self.cost1 = cost1
 
 
+def _phase_one(tab: _Tableau, arts, enter: int, limit: int) -> bool:
+    """Phase 1 on row m, the cost row of the artificials `arts`, entering
+    columns below `enter`; False if infeasible.  Artificials left basic are
+    driven out onto columns below `limit`, except in redundant rows."""
+    m = tab.m
+    if tab.run(m, enter) == UNBOUNDED:
+        raise InternalError("phase-1 objective cannot be unbounded")
+    if tab.mat[m][-1] != 0:
+        return False
+    for r in range(m):  # the phase-1 value is 0, so each artificial is at 0
+        if tab.basis[r] in arts:
+            _drive_out(tab, r, range(limit))
+    return True
+
+
+def _drive_out(tab: _Tableau, r: int, cols) -> None:
+    """Pivot row r, at level zero, on the first column of `cols` with a
+    positive entry in it, else on the first with a negative one after
+    negating the row; a row that is zero on `cols` stays as it is."""
+    row = tab.mat[r]
+    for sign in (1, -1):
+        target = next((j for j in cols if sign * row[j] > 0), None)
+        if target is not None:
+            tab.mat[r] = [sign * v for v in row]
+            return tab.pivot(r, target)
+
+
 def _two_phase(can: _Canonical) -> tuple[str, _Tableau]:
     """Phases 1 and 2 on the canonical program: (status, final tableau)."""
     tab = _Tableau(can.rows, can.cost1, can.cost2, can.basis0)
-    m = tab.m
-    art_set = set(can.art_cols)
-
-    status = tab.run(m, can.n_total)
-    if status == UNBOUNDED:
-        raise InternalError("phase-1 objective cannot be unbounded")
-    if tab.mat[m][-1] != 0:
+    if not _phase_one(tab, set(can.art_cols), can.n_total, can.n_with_slack):
         return INFEASIBLE, tab
-
-    # Drive basic artificials out; rows where that is impossible are
-    # redundant and keep their artificial basic at level zero.
-    for r in range(m):
-        if tab.basis[r] not in art_set:
-            continue
-        if tab.mat[r][-1] != 0:
-            raise InternalError("artificial basic at nonzero level after phase 1")
-        row = tab.mat[r]
-        target = next(
-            (j for j in range(can.n_with_slack) if row[j] > 0), None
-        )
-        if target is None:
-            target = next(
-                (j for j in range(can.n_with_slack) if row[j] < 0), None
-            )
-            if target is not None:
-                tab.mat[r] = [-v for v in row]
-        if target is not None:
-            tab.pivot(r, target)
-
-    return tab.run(m + 1, can.n_with_slack), tab
+    return tab.run(tab.m + 1, can.n_with_slack), tab
 
 
 def _solve_primal(lp: LinearProgram) -> LpResult:
@@ -482,65 +483,116 @@ class WarmStart:
         if set(tab.basis) & set(can.art_cols):
             raise InternalError("artificial left basic after phase 1")
         del tab.mat[tab.m]  # the phase-1 cost row is not needed again
-        self._can, self._tab = can, tab
+        self._can, self._tab, self._rhs = can, tab, [row[-1] for row in can.rows]
 
     def value(self, rhs: Sequence[int]) -> Fraction:
         """Optimal value for the integer right-hand side `rhs`."""
         if any(b < 0 for b in rhs):
             raise InternalError("warm re-solves need a nonnegative right-hand side")
         can, tab = self._can, self._tab
-        # the start (slack/artificial) columns hold div * B^-1, so each
-        # row's right-hand side, cost row included, is that times rhs
+        # each row's right-hand side, cost row included, is its start (slack/
+        # artificial) columns, div * B^-1, times rhs: move it by the change
+        change = [(c, b - old) for c, b, old in zip(can.basis0, rhs, self._rhs) if b != old]
         for row in tab.mat:
-            row[-1] = sum(row[c] * b for c, b in zip(can.basis0, rhs) if b)
+            row[-1] += sum(row[c] * d for c, d in change)
+        self._rhs = list(rhs)
         if not tab.dual_run(can.n_with_slack):
             raise InternalError("warm re-solve found the program infeasible")
         return can.sense_sign * Fraction(-tab.mat[-1][-1], tab.div * can.obj_scale)
 
 
 class LazyRows:
-    """max c.x over free x subject to equality rows and `>=` rows that arrive
-    in batches, solved on the tableau of its dual, where each row is a
-    column: min b.w - b.u s.t. sum w_t a_t - sum u_i a_i = c, u >= 0, w free.
+    """max c.x, c = (0, ..., 0, 1), over free x subject to equality rows and
+    `>=` rows that arrive in batches, solved on the tableau of its dual,
+    where each row is a column: min b.w - b.u s.t. sum w_t a_t - sum u_i a_i
+    = c, u >= 0, w free.  Columns: a (+, -) pair per equality, the `>=` rows
+    in order of arrival, the start (artificial) columns, the right-hand side.
 
     c never changes, so a new column keeps the basis feasible: `add` prices
-    it from the start (artificial) columns, which hold div * B^-1, and the
-    cost row's start entries, -div * x, rescaling that row when a cost's
-    denominator needs it; `solve` resumes phase-2 primal simplex.  c must
-    be integer and nonnegative, the rows integer, and the first rows of
-    full column rank and bounding the program.
+    it from the start columns, which hold div * B^-1, and the cost row's
+    start entries, -div * x, rescaling that row when a cost's denominator
+    needs it; `solve` resumes phase-2 primal simplex.  The rows must be
+    integer, the first ones of full column rank and bounding c.x.
     """
 
+    _NEED = "lazy rows need c = (0, ..., 0, 1) and integer full-rank rows bounding c.x"
+
     def __init__(self, objective, equalities, rows):
-        eqs, rows = list(equalities), list(rows)
+        eqs, rows, c = list(equalities), list(rows), tuple(objective)
         cols = [a for a, _ in eqs] + [[-v for v in a] for a, _ in rows]
         dual = LinearProgram(MIN, tuple(b for _, b in eqs) + tuple(-b for _, b in rows),
-                             tuple(zip(*cols)), (EQ,) * len(objective), tuple(objective),
+                             tuple(zip(*cols)), (EQ,) * len(c), c,
                              (FREE,) * len(eqs) + (NONNEG,) * len(rows))
         can = _Canonical(dual)
-        status, tab = _two_phase(can)
-        if status == INFEASIBLE or set(tab.basis) & set(can.art_cols) or any(
-                k != 1 for k in can.row_mult):
-            raise InternalError("lazy rows need integer c >= 0, full-rank rows bounding c.x")
-        del tab.mat[tab.m]  # the phase-1 cost row is not needed again
-        # columns: a (+, -) pair per equality, then the >= rows as they arrive
+        if c != (0,) * (len(c) - 1) + (1,) or any(k != 1 for k in can.row_mult):
+            raise InternalError(self._NEED)
         self._tab, self._scale, self._first, self._start = (
-            tab, can.obj_scale, 2 * len(eqs), can.n_struct)
+            _Tableau(can.rows, can.cost1, can.cost2, can.basis0),
+            can.obj_scale, 2 * len(eqs), can.n_struct)
+        self._feasible_basis()
+
+    def _feasible_basis(self) -> None:
+        # row m is the phase-1 cost row; once no artificial is basic it goes
+        tab, start = self._tab, self._start
+        arts = range(start, start + tab.m)
+        if not _phase_one(tab, arts, start, start) or any(j in arts for j in tab.basis):
+            raise InternalError(self._NEED)
+        del tab.mat[tab.m]
+
+    def _insert(self, at: int, a, b) -> None:
+        """Insert the dual column with coefficients a and cost b at `at`."""
+        tab = self._tab
+        up = b.denominator // gcd(b.denominator, self._scale)
+        if up > 1:
+            tab.mat[-1] = [v * up for v in tab.mat[-1]]
+            self._scale *= up
+        col = [(self._start + i, v) for i, v in enumerate(a) if v]
+        for row in tab.mat:
+            row.insert(at, sum(row[i] * v for i, v in col))
+        tab.mat[-1][at] += tab.div * (b * self._scale).numerator
+        tab.basis = [j + (j >= at) for j in tab.basis]
+        self._start += 1
 
     def add(self, rows) -> None:
         """Append `>=` rows (coefficients, right-hand side) as dual columns."""
-        tab = self._tab
         for a, b in rows:
-            up = b.denominator // gcd(b.denominator, self._scale)
-            if up > 1:
-                tab.mat[-1] = [v * up for v in tab.mat[-1]]
-                self._scale *= up
-            start = self._start
-            col = [(start + i, -v) for i, v in enumerate(a) if v]
-            for row in tab.mat:
-                row.insert(start, sum(row[i] * v for i, v in col))
-            tab.mat[-1][start] -= tab.div * (b * self._scale).numerator
-            self._start += 1
+            self._insert(self._start, [-v for v in a], -b)
+
+    def next_level(self, equalities, keep) -> None:
+        """Carry the tableau to the next level's program: the `equalities`
+        join after the present ones and the `>=` rows flagged false in
+        `keep` (one flag per row, in order) leave, in a cold build's order.
+
+        The last start column is div * B^-1 c, the basic solution itself:
+        pivoted in on a positive row, a leaving one's where possible, it
+        sits at 1 and every other basic variable at 0, so the leaving
+        columns are pivoted out at level zero and deleted.  Phase 1 then
+        minimises the artificials, none re-entering.  It and the drive-out
+        fail exactly where a cold build's would, the columns being the
+        same, so there is no cold fallback: such a level raises
+        `InternalError`.
+        """
+        tab, m = self._tab, self._tab.m
+        for a, b in equalities:
+            for sign in (1, -1):
+                self._insert(self._first, [sign * v for v in a], sign * b)
+                self._first += 1
+        drop = {self._first + i for i, k in enumerate(keep) if not k}
+        tab.pivot(max((r for r in range(m) if tab.mat[r][-1] > 0),
+                      key=lambda r: tab.basis[r] in drop), self._start + m - 1)
+        cols = [j for j in range(len(tab.mat[0]) - 1) if j not in drop]
+        for r, j in enumerate(tab.basis):
+            if j in drop:  # never stuck: the start columns hold div * B^-1
+                _drive_out(tab, r, cols)
+        where = {j: k for k, j in enumerate(cols)}
+        tab.mat = [[row[j] for j in cols] + row[-1:] for row in tab.mat]
+        tab.basis = [where[j] for j in tab.basis]
+        self._start = start = self._start - len(drop)
+        # phase-1 costs: minus the basic artificials' rows; the start
+        # columns never enter, so their own cost of 1 is never read
+        arts = [row for row, j in zip(tab.mat, tab.basis) if j >= start]
+        tab.mat.insert(m, [-sum(col) for col in zip(*arts)])
+        self._feasible_basis()
 
     def solve(self) -> LpResult:
         """The optimum over every row added so far: x, its value, duals (one

@@ -347,6 +347,14 @@ class TestChecksKeepTheirText:
         (lambda: single_market([1, -1], [F(1, 2)] * 2), "alpha must be nonnegative"),
         (lambda: single_market([2, 1], [F(3, 2), F(-1, 2)]), "shares must be nonnegative"),
         (lambda: single_market([2, 1], [F(1, 2), F(1, 3)]), "shares must sum to exactly 1"),
+        # True == 1 and 1.0 == 1, so only a type test refuses these; and
+        # the type test comes first, as a str cannot be sorted with ints
+        (lambda: SingleMarketGame((F(2), F(1)), (F(1, 2), F(1, 2)), (True, 2), F(1)),
+         "perm must be a permutation of 1..n"),
+        (lambda: SingleMarketGame((F(2), F(1)), (F(1, 2), F(1, 2)), (2, 1.0), F(1)),
+         "perm must be a permutation of 1..n"),
+        (lambda: SingleMarketGame((F(2), F(1)), (F(1, 2), F(1, 2)), (1, "2"), F(1)),
+         "perm must be a permutation of 1..n"),
         (lambda: NormalizedInstance(("a",), ("m",), ((F(-1, 3),),), ((F(1),),), (None,)),
          "profit[1][1] is negative: -1/3"),
         (lambda: _instance([1], [[0]], [[F(3, 2)]], capacity=[1]),

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction as F
+from itertools import compress
 
 import pytest
 
@@ -325,12 +326,12 @@ def _holds_cut_rows(lp):
 
 
 class Level:
-    """One level of the loop as its warm tableau saw it: the fixed
-    coalitions (mask, r_T), the pool masks in order of arrival with their
-    values, and every solve as (pool size then, result)."""
+    """One level of the loop as its warm tableau saw it: the tableau, the
+    fixed coalitions (mask, r_T), the pool masks in order of arrival with
+    their values, and every solve as (pool size then, result)."""
 
-    def __init__(self, n, fixed):
-        self.n, self.fixed = n, fixed
+    def __init__(self, tableau, n, fixed):
+        self.tableau, self.n, self.fixed = tableau, n, fixed
         self.pool, self.values, self.solves = [], {}, []
 
     def programs(self):
@@ -350,19 +351,33 @@ def record_levels(monkeypatch) -> list:
         def __init__(self, objective, equalities, rows):
             equalities, rows = list(equalities), list(rows)
             super().__init__(objective, equalities, rows)
-            self.level = Level(len(objective) - 1, [(mask_of(a), r) for a, r in equalities])
-            levels.append(self.level)
-            self._note(rows)
+            self._record(len(objective) - 1, [], equalities,
+                         [(mask_of(a), v) for a, v in rows])
 
-        def _note(self, rows):
-            for a, v in rows:
-                self.level.pool.append(mask_of(a))
-                self.level.values[mask_of(a)] = v
+        def _record(self, n, fixed, equalities, pool):
+            # a new level: the earlier fixed coalitions, then `equalities`
+            self.level = Level(self, n, fixed + [(mask_of(a), r) for a, r in equalities])
+            levels.append(self.level)
+            self._note(pool)
+
+        def _note(self, pool):
+            for mask, v in pool:
+                self.level.pool.append(mask)
+                self.level.values[mask] = v
 
         def add(self, rows):
             rows = list(rows)
             super().add(rows)
-            self._note(rows)
+            self._note((mask_of(a), v) for a, v in rows)
+
+        def next_level(self, equalities, keep):
+            # the carried tableau is the next level's program: every
+            # equality so far and the kept pool, in order
+            equalities, keep = list(equalities), list(keep)
+            super().next_level(equalities, keep)
+            old = self.level
+            self._record(old.n, old.fixed, equalities,
+                         [(m, old.values[m]) for m in compress(old.pool, keep)])
 
         def solve(self):
             res = super().solve()
@@ -422,6 +437,24 @@ class TestLevelProgramCertificates:
                 assert_optimal_certificate(lp, warm)
                 for res in (solve_lp(lp), solve_on_dual(lp, tight=True)):
                     assert_optimal_certificate(lp, res)
+
+    def test_one_cold_tableau_per_run(self, monkeypatch):
+        """Each run of the level loop builds its tableau cold once and
+        carries it into every later level; no level is rebuilt."""
+        levels = record_levels(monkeypatch)
+        rng = random.Random(2025)
+        carried = 0
+        for n in range(2, 9):
+            g = random_single_market(rng, n)
+            capped = value_oracle(random_capacitated_integral(rng, n, 2))
+            for route in (lambda: nucleolus_separation(g),
+                          lambda: nucleolus_bruteforce(oracle_of(g), n),
+                          lambda: nucleolus_bruteforce(capped, n)):
+                levels.clear()
+                route()
+                assert levels and all(level.tableau is levels[0].tableau for level in levels)
+                carried += len(levels) - 1
+        assert carried >= 20
 
 
 class TestBruteForce:

@@ -302,6 +302,53 @@ def test_lazy_rows_match_cold_solves(n, data):
     _assert_grows_to_cold_optima(n, fixed, pool, extra, values)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_carried_levels_match_cold_solves(n, data):
+    """Nucleolus levels on one tableau: each level grows by drawn rows, then
+    its binding rows that raise the rank are fixed at v(S) + epsilon and
+    `next_level` carries the tableau on, dropping the rows now in the span.
+    Every solve matches a cold solve of that level's program."""
+    full = (1 << n) - 1
+    value = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+    space = RowSpace()
+
+    def chi(mask):
+        return [mask >> k & 1 for k in range(n)]
+
+    space.add(chi(full))
+    fixed = [(full, data.draw(value))]
+    pool = [1 << k for k in range(n)]
+    values = {m: data.draw(value) for m in pool}
+    lazy = LazyRows((0,) * n + (1,), _level_rows(n, [full], 0, dict(fixed)),
+                    _level_rows(n, pool, -1, values))
+    levels = 0
+    while True:
+        levels += 1
+        extra = [m for m in data.draw(st.lists(st.integers(1, full - 1), unique=True,
+                                               max_size=4))
+                 if m not in pool and not space.contains(chi(m))]
+        for m in [None, *extra]:
+            if m is not None:
+                values[m] = data.draw(value)
+                lazy.add(_level_rows(n, [m], -1, values))
+                pool.append(m)
+            res = lazy.solve()
+            lp = level_program(n, pool, values, fixed)
+            assert res.value == solve_lp(lp).value
+            assert_optimal_certificate(lp, res)
+        new = {m: values[m] + res.value for m, y in zip(pool, res.duals)
+               if y < 0 and space.add(chi(m))}
+        assert new
+        if space.rank == n:
+            break
+        keep = [not space.contains(chi(m)) for m in pool]
+        pool = [m for m, k in zip(pool, keep) if k]
+        fixed += new.items()
+        lazy.next_level(_level_rows(n, new, 0, new), keep)
+    assert levels <= n - 1
+
+
 def test_lazy_rows_rescale_the_cost_row():
     # integer first rows, then violated rows with costs over 3 and over 7:
     # each new denominator multiplies the cost row's scale
