@@ -10,10 +10,10 @@
 * `nucleolus_separation` — cutting-plane variant: each lexicographic
   level is solved on one warm dual tableau, where the violated coalitions
   that the polynomial `separate` oracle finds enter as columns.
-* `nucleolus_bruteforce` — the same levels for any characteristic
-  function given as an oracle, read once into `game.coalition_table`;
-  its cuts are the most violated coalitions found by scanning that
-  table.  Exponential; guarded at n <= 12.
+* `nucleolus_bruteforce` — the same levels (the prenucleolus) for any
+  characteristic function given as an oracle, read once into
+  `game.coalition_table`; its cuts are the most violated coalitions
+  found by scanning that table.  Exponential; guarded at n <= 12.
 
 Both LP routes run one level loop, `_sequential_lp`, from the singletons
 and differ only in their cut.  At each level every binding coalition
@@ -41,8 +41,6 @@ from .game import (Allocation, Coalition, SingleMarketGame, coalition_table, exc
 from .ratlp import OPTIMAL, LazyRows, rat
 
 BRUTE_FORCE_LIMIT = 12
-
-_ZERO = Fraction(0)
 
 
 def improving_direction(fixed: Coalition, n: int) -> tuple[int, ...]:
@@ -279,8 +277,9 @@ def separate(
     candidate weights sort ascending, the all-nonpositive prefix is the
     cheapest set, and when that set is span-pinned the nearest feasible
     edits (dropping a maximal prefix tail, adding a maximal suffix) are
-    the only candidates that can escape the span.  Everything is exact;
-    span tests use integer Gaussian elimination on coalition masks.
+    the only candidates that can escape the span.  Everything is exact and
+    in integers: the weights are numerators over one scale, and a span test
+    sums the fixed rows' echelon entries over the coalition's bits.
     """
     n = g.n
     x, epsilon = [rat(v) for v in x], rat(epsilon)
@@ -291,6 +290,8 @@ def separate(
     span = _MaskSpan(n)
     for coalition, value in fixed:
         value = rat(value)
+        if coalition.mask >> n:
+            raise InputError(f"fixed coalition {coalition} exceeds the player count")
         if sum(x[k - 1] for k in coalition.members()) != value:
             raise InputError(
                 f"separation point violates the fixed value of {coalition}"
@@ -303,25 +304,29 @@ def _separate(
     g: SingleMarketGame, x: Sequence[Fraction], epsilon: Fraction, span: _MaskSpan
 ) -> Optional[Coalition]:
     """`separate` at a checked point, with the fixed coalitions already in
-    `span`; the separation route's cut passes its loop's own span."""
+    `span`; the separation route's cut passes its loop's own span.  It scans
+    each weight x_j - alpha_i * share_j as its integer numerator over one
+    scale, which keeps every order and comparison, ties to index included."""
     n = g.n
-    for i in range(1, n + 1):
-        a = g.alpha[i - 1]
-        items = sorted(
-            ((x[j - 1] - a * g.share[j - 1], j) for j in range(i + 1, n + 1))
-        )
+    form = g.integer_form
+    nums, den = form.numerators([*x, epsilon])
+    eps = nums.pop()
+    share = form.shares_over(den)
+    for i in range(n):  # 0-based position of the smallest member
+        a = form.alpha[i]
+        items = sorted((nums[j] - a * share[j], j) for j in range(i + 1, n))
         p = len(items)
-        bound = epsilon - (x[i - 1] - a * g.share[i - 1])
+        bound = eps - (nums[i] - a * share[i])
         jbar = 0
-        total = _ZERO
+        total = 0
         while jbar < p and items[jbar][0] <= 0:
             total += items[jbar][0]
             jbar += 1
         if total >= bound:
             continue
-        mask = 1 << (i - 1)
+        mask = 1 << i
         for k in range(jbar):
-            mask |= 1 << (items[k][1] - 1)
+            mask |= 1 << items[k][1]
         if not span.contains(mask):
             return Coalition(mask)
 
@@ -330,7 +335,7 @@ def _separate(
         low = jbar + 1
         for l in range(jbar, 0, -1):
             w, j = items[l - 1]
-            if total - w < bound and span.contains(mask & ~(1 << (j - 1))):
+            if total - w < bound and span.contains(mask & ~(1 << j)):
                 low = l
             else:
                 break
@@ -342,19 +347,19 @@ def _separate(
             high = jbar
             for l in range(jbar + 1, p + 1):
                 w, j = items[l - 1]
-                if total + w < bound and span.contains(mask | 1 << (j - 1)):
+                if total + w < bound and span.contains(mask | 1 << j):
                     high = l
                 else:
                     break
 
         if low > 1:
             w, j = items[low - 2]
-            cand = mask & ~(1 << (j - 1))
+            cand = mask & ~(1 << j)
             if total - w < bound and not span.contains(cand):
                 return Coalition(cand)
         if high < p:
-            w, j = items[high][0], items[high][1]
-            cand = mask | 1 << (j - 1)
+            w, j = items[high]
+            cand = mask | 1 << j
             if total + w < bound and not span.contains(cand):
                 return Coalition(cand)
         # otherwise no separating coalition starts at i
@@ -366,8 +371,9 @@ def _sequential_lp(
     value: Callable[[int], Fraction],
     cut: Callable[..., Sequence[int]],
 ) -> tuple[tuple[Fraction, ...], Fraction]:
-    """The sequential-LP loop both LP routes run; returns the nucleolus and
-    the first level's value, the least-core value epsilon_1.
+    """The sequential-LP loop both LP routes run; returns the prenucleolus
+    (no level imposes x_i >= v({i})) and the first level's value, the
+    least-core value epsilon_1.
 
     `value(mask)` is v(S).  A level, max epsilon s.t. x(S) - epsilon >=
     v(S) for the pool and x(T) = r_T for the fixed coalitions, is solved
@@ -388,7 +394,7 @@ def _sequential_lp(
     fixed rows is fixed at v(S) + epsilon_k.  The multipliers on the
     epsilon column sum to -1, so some row is fixed at every level and the
     rank grows: at most n - 1 levels.  The last level's optimum is the
-    nucleolus: it meets every earlier fixed equality, it is tight on
+    prenucleolus: it meets every earlier fixed equality, it is tight on
     every row fixed at that level (checked below), and those rows raise
     the rank to n, so it is the one solution of the fixed system.  Every
     proper coalition lies outside span{N}, so epsilon_1 is the least-core
@@ -464,44 +470,55 @@ class _MaskSpan:
     """Rational span of the fixed coalitions' characteristic vectors; it
     only answers membership.
 
-    Pure integer echelon arithmetic on the masks; each row is zero at the
-    earlier rows' pivots and divided by its gcd, so membership tests never
-    divide.  `masks` and `rhs` list the coalitions that raised the rank
-    with their values, the fixed system x(S) = r_S that the next level's
-    equality rows are built from.
+    The rows are the span's reduced echelon basis scaled to one common
+    pivot value L, integers of gcd 1, kept by the coordinates k that are
+    no pivot: one column per k maps the bit of each pivot p to row p's
+    nonzero entry at k.  S is in the span iff chi(S) is the sum of the
+    rows pivoted in S over L, which holds at the pivots by construction;
+    so iff at every other k those rows sum to L * [k in S], integer
+    additions over S's bits.  `masks` and `rhs` list the coalitions that
+    raised the rank with their values, the fixed system x(S) = r_S that
+    the next level's equality rows are built from.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.masks: list[int] = []
         self.rhs: list[Fraction] = []
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []
+        self._lead = 1
+        self._cols: list[tuple[int, dict[int, int]]] = [(1 << k, {}) for k in range(n)]
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self.masks)
 
-    def _residual(self, v: list[int]) -> list[int]:
-        for row, p in zip(self._rows, self._pivots):
-            if v[p]:
-                f, g = row[p], v[p]
-                v = [a * f - g * b for a, b in zip(v, row)]
-        return v
+    def _residual(self, mask: int):
+        """L * chi(S) minus the rows pivoted in S, column by column."""
+        lead = self._lead
+        return ((lead if mask & bit else 0) - sum(c for p, c in col.items() if mask & p)
+                for bit, col in self._cols)
 
     def contains(self, mask: int) -> bool:
-        return not any(self._residual(_chi(mask, self.n)))
+        return not any(self._residual(mask))
 
     def add(self, mask: int, value: Fraction) -> bool:
         """Fix x(S) = value unless S is already in the span; True if the
         rank grew."""
-        v = self._residual(_chi(mask, self.n))
-        p = next((k for k in range(self.n) if v[k]), None)
-        if p is None:
+        res = list(self._residual(mask))
+        at = next((t for t, r in enumerate(res) if r), None)
+        if at is None:
             return False
-        shrink = gcd(*v)
-        self._rows.append([a // shrink for a in v])
-        self._pivots.append(p)
+        # the new row is L * residual, pivoted at its first nonzero entry,
+        # d at column q; d * row - row[q] * residual clears q in each old row
+        d, lead = res.pop(at), self._lead
+        q, pivot_col = self._cols.pop(at)
+        cols = [(bit, {p: d * col.get(p, 0) - pivot_col.get(p, 0) * r
+                       for p in col.keys() | pivot_col.keys()} | {q: lead * r})
+                for (bit, col), r in zip(self._cols, res)]
+        shrink = gcd(d * lead, *(c for _, col in cols for c in col.values()))
+        shrink = shrink if d > 0 else -shrink
+        self._lead = d * lead // shrink
+        self._cols = [(bit, {p: c // shrink for p, c in col.items() if c}) for bit, col in cols]
         self.masks.append(mask)
         self.rhs.append(value)
         return True
@@ -515,7 +532,9 @@ class _MaskSpan:
 def nucleolus_bruteforce(
     value: Callable[[Coalition], Fraction], n: int
 ) -> Allocation:
-    """Sequential-LP nucleolus for an arbitrary characteristic function.
+    """Sequential-LP prenucleolus for an arbitrary characteristic function:
+    no level imposes x_i >= v({i}).  It is the nucleolus whenever the core
+    is non-empty, as it is for every instance game.
 
     Runs the same level loop as the separation route: maximize the worst
     excess, fix the binding coalitions (negative multiplier, outside the

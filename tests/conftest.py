@@ -1,7 +1,8 @@
 """Shared helpers: seeded random generators, exact LP certificate checks, the
 nucleolus level program, a reference LP solve on the dual tableau, a
 reference row space and a reference linear solver, the Shapley ordering
-weights, and Fraction references for the enumerating routes."""
+weights, and Fraction references for the enumerating routes and the
+separation cut."""
 
 import random
 from fractions import Fraction
@@ -252,6 +253,60 @@ def reference_shapley_bruteforce(value, n) -> Allocation:
         for i in range(n)
     )
     return Allocation(values, vals[full], method="shapley (brute force)")
+
+
+def reference_separate(g, x, epsilon, span):
+    """The separation cut scanned over Fraction weights, 1-based players;
+    `span` answers `contains(mask)`.  The integer cut must return the same
+    mask at every point."""
+    n = g.n
+    for i in range(1, n + 1):
+        a = g.alpha[i - 1]
+        items = sorted(((x[j - 1] - a * g.share[j - 1], j) for j in range(i + 1, n + 1)))
+        p = len(items)
+        bound = epsilon - (x[i - 1] - a * g.share[i - 1])
+        jbar = 0
+        total = Fraction(0)
+        while jbar < p and items[jbar][0] <= 0:
+            total += items[jbar][0]
+            jbar += 1
+        if total >= bound:
+            continue
+        mask = 1 << (i - 1)
+        for k in range(jbar):
+            mask |= 1 << (items[k][1] - 1)
+        if not span.contains(mask):
+            return Coalition(mask)
+        low = jbar + 1
+        for l in range(jbar, 0, -1):
+            w, j = items[l - 1]
+            if total - w < bound and span.contains(mask & ~(1 << (j - 1))):
+                low = l
+            else:
+                break
+        if jbar == 0:
+            low = 0
+        if jbar == p:
+            high = p + 1
+        else:
+            high = jbar
+            for l in range(jbar + 1, p + 1):
+                w, j = items[l - 1]
+                if total + w < bound and span.contains(mask | 1 << (j - 1)):
+                    high = l
+                else:
+                    break
+        if low > 1:
+            w, j = items[low - 2]
+            cand = mask & ~(1 << (j - 1))
+            if total - w < bound and not span.contains(cand):
+                return Coalition(cand)
+        if high < p:
+            w, j = items[high]
+            cand = mask | 1 << (j - 1)
+            if total + w < bound and not span.contains(cand):
+                return Coalition(cand)
+    return None
 
 
 def random_coalition(rng: random.Random, n: int) -> Coalition:

@@ -13,6 +13,7 @@ from conftest import (
     random_single_market,
     random_table_oracle,
     random_uncapacitated,
+    reference_separate,
     solve_linear_system,
     solve_on_dual,
 )
@@ -229,6 +230,11 @@ class TestSeparate:
         with pytest.raises(InputError):
             separate(DEMO_GAME, [F(1), F(1), F(1)], F(0), fixed)
 
+    def test_fixed_coalition_beyond_the_game_rejected(self):
+        for mask in (0b1000, 0b1001):
+            with pytest.raises(InputError):
+                separate(DEMO_GAME, [THIRD, THIRD, THIRD], 0, [(Coalition(mask), 0)])
+
     def test_level_and_fixed_values_read_exactly(self):
         x = [F(1, 2), F(1, 4), F(1, 4)]
         found = separate(DEMO_GAME, x, F(1, 2), [(Coalition.full(3), F(1))])
@@ -307,6 +313,48 @@ class TestSeparationCut:
         assert any(c[4] is None for c in calls) and any(c[4] for c in calls)
         for g, x, epsilon, fixed, found in calls:
             assert separate(g, x, epsilon, fixed) == found
+
+    def test_integer_cut_matches_fraction_reference(self, monkeypatch):
+        """At every call of the route, the cut over integer weights returns
+        the mask that the scan over Fraction weights returns."""
+        calls = []
+        real = nucleolus_module._separate
+
+        def spy(g, x, epsilon, span):
+            found = real(g, x, epsilon, span)
+            assert found == reference_separate(g, x, epsilon, span)
+            calls.append(found)
+            return found
+
+        monkeypatch.setattr(nucleolus_module, "_separate", spy)
+        rng = random.Random(2611)
+        for n in range(2, 11):
+            for make in (random_single_market, tied_single_market):
+                for _ in range(3):
+                    nucleolus_separation(make(rng, n))
+        assert None in calls and len(set(calls)) > 50
+
+    def test_integer_cut_matches_fraction_reference_on_ties(self):
+        """Arbitrary points whose weights tie with each other and with the
+        bound, against spans of random fixed families."""
+        rng = random.Random(2612)
+        found = ties = 0
+        for _ in range(400):
+            n = rng.randint(2, 9)
+            g = tied_single_market(rng, n)
+            x = [rng.choice(g.share) * rng.randint(-1, 3) for _ in range(n)]
+            eps = rng.choice(g.share) * rng.randint(-3, 3)
+            span = _MaskSpan(n)
+            span.add((1 << n) - 1, 0)
+            for _ in range(rng.randint(0, n - 1)):
+                span.add(rng.randrange(1, 1 << n), 0)
+            got = nucleolus_module._separate(g, x, eps, span)
+            assert got == reference_separate(g, x, eps, span)
+            found += got is not None
+            weights = [[x[j] - a * g.share[j] for j in range(k + 1, n)]
+                       for k, a in enumerate(g.alpha)]
+            ties += any(len(set(w)) < len(w) for w in weights)
+        assert 50 < found < 350 and ties > 200
 
 
 class TestSeparationScheme:
@@ -678,6 +726,27 @@ class TestBruteForceCoreVerdict:
         ]
         assert all(self._verdicts(games))
 
+    def test_prenucleolus_outside_an_empty_core(self):
+        """The route imposes no x_i >= v({i}), so it returns the
+        prenucleolus: here it pays players 3 and 4 less than they earn
+        alone, and the core is empty."""
+        vals = dict(enumerate((0, 0, 10, 1, 8, 7, 8, 5, 1, 5, 0, 2, 8, 0, 7), 1))
+        got = nucleolus_bruteforce(lambda s: F(vals[s.mask]), 4)
+        assert got.values == (F(17, 5), F(12, 5), F(2, 5), F(4, 5))
+        assert got.in_core is False
+        assert got.values[2] < vals[0b100] and got.values[3] < vals[0b1000]
+
+    def test_market_games_are_individually_rational(self):
+        """Market games have a non-empty core, where the prenucleolus is
+        the nucleolus: every player gets at least v({i})."""
+        rng = random.Random(2026)
+        for n in range(2, 9):
+            for make in (random_capacitated_integral, random_uncapacitated):
+                value = value_oracle(make(rng, n, 2))
+                got = nucleolus_bruteforce(value, n)
+                assert got.in_core
+                assert all(x >= value(Coalition(1 << k)) for k, x in enumerate(got.values))
+
     def test_random_characteristic_functions(self):
         rng = random.Random(1979)
         games = []
@@ -764,12 +833,13 @@ class TestLeximinDefinition:
 class TestMaskSpan:
     def test_matches_fraction_row_space(self):
         rng = random.Random(99)
-        for _ in range(60):
-            n = rng.randint(2, 8)
+        answers = set()
+        for _ in range(120):
+            n = rng.randint(2, 12)
             ints = _MaskSpan(n)
             fracs = RowSpace()
             fixed = []
-            for _ in range(rng.randint(1, 12)):
+            for _ in range(rng.randint(1, 14)):
                 mask = rng.randrange(1, 1 << n)
                 vec = [mask >> k & 1 for k in range(n)]
                 value = F(rng.randint(-9, 9), rng.randint(1, 4))
@@ -778,8 +848,30 @@ class TestMaskSpan:
                 assert added == fracs.add(vec)
                 if added:
                     fixed.append((mask, value))
+                # unions, differences and overlaps of fixed coalitions are
+                # often in the span; random masks rarely are
+                probes = [rng.randrange(1 << n) for _ in range(10)]
+                probes += [op(a, b) for a, _ in fixed[-3:] for b, _ in fixed[-3:]
+                           for op in (int.__or__, int.__xor__, int.__and__)]
+                for probe in probes:
+                    answer = ints.contains(probe)
+                    assert answer == fracs.contains([probe >> k & 1 for k in range(n)])
+                    answers.add((n > 6, answer))
             assert ints.rank == fracs.rank
             assert list(zip(ints.masks, ints.rhs)) == fixed
+        assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_every_mask_after_every_add(self):
+        rng = random.Random(100)
+        for n in range(1, 7):
+            for _ in range(8):
+                ints, fracs = _MaskSpan(n), RowSpace()
+                while ints.rank < n:
+                    mask = rng.randrange(1, 1 << n)
+                    assert ints.add(mask, F(0)) == fracs.add([mask >> k & 1 for k in range(n)])
+                    for probe in range(1 << n):
+                        vec = [probe >> k & 1 for k in range(n)]
+                        assert ints.contains(probe) == fracs.contains(vec)
 
     def test_final_span_pins_the_routes_point(self, monkeypatch):
         """Each LP route returns its last level's optimum, which is the one
