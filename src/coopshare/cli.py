@@ -22,10 +22,10 @@ from .game import (
     CoreCheck,
     NormalizedInstance,
     SingleMarketGame,
+    coalition_table,
     core_check,
     normalize,
     value_general,
-    value_oracle,
 )
 from .multimarket import (
     MarketDecomposition,
@@ -112,16 +112,16 @@ def _single_game(dec: Optional[MarketDecomposition]) -> Optional[SingleMarketGam
 
 
 def _core_result(
-    inst: NormalizedInstance, game: Optional[SingleMarketGame], values, oracle
+    inst: NormalizedInstance, game: Optional[SingleMarketGame], values, table=None
 ) -> CoreCheck:
     """Core membership of an efficient payoff vector in original terms.
 
     With the instance's one-market game (see `_single_game`) this is the
-    polynomial minimum-excess scan; without, it enumerates coalitions
-    through `oracle`.
+    polynomial minimum-excess scan; without, it enumerates coalitions:
+    those of `table` when the caller has one, else the instance's.
     """
     if game is None:
-        return core_check(oracle, values, inst.n)
+        return core_check(inst if table is None else table, values, inst.n)
     canonical = tuple(values[game.perm[k] - 1] / game.scale for k in range(game.n))
     result = core_check(game, canonical)
     if result.violated is None:
@@ -131,13 +131,13 @@ def _core_result(
 
 
 def _core_flag(
-    inst: NormalizedInstance, game: Optional[SingleMarketGame], alloc: Allocation, oracle
+    inst: NormalizedInstance, game: Optional[SingleMarketGame], alloc: Allocation
 ) -> Optional[bool]:
     if alloc.in_core is not None:
         return alloc.in_core
     if game is None and inst.n > ENUMERATION_LIMIT:
         return None
-    return _core_result(inst, game, alloc.values, oracle).in_core
+    return _core_result(inst, game, alloc.values).in_core
 
 
 def cmd_value(args) -> dict:
@@ -177,12 +177,11 @@ def cmd_allocate(args) -> dict:
         )
     if args.oracle and args.method not in ("nucleolus", "shapley"):
         raise InputError(f"--oracle needs --method nucleolus or shapley, not {args.method}")
-    oracle = value_oracle(inst)
     trace_steps = None
 
     if args.method == "nucleolus":
         if args.oracle:
-            alloc = nucleolus_bruteforce(oracle, inst.n)
+            alloc = nucleolus_bruteforce(inst, inst.n)
         elif game is not None:
             trace_steps = [] if args.trace else None
             alloc = nucleolus_primal_dual(game, trace=trace_steps)
@@ -193,7 +192,7 @@ def cmd_allocate(args) -> dict:
             )
     elif args.method == "shapley":
         if args.oracle:
-            alloc = shapley_bruteforce(oracle, inst.n)
+            alloc = shapley_bruteforce(inst, inst.n)
         elif dec is not None:
             alloc = shapley_multimarket(dec)
         else:
@@ -214,7 +213,7 @@ def cmd_allocate(args) -> dict:
             {"player": name, **_fmt(alloc.values[i], args)}
             for i, name in enumerate(inst.players)
         ],
-        "core": _core_flag(inst, game, alloc, oracle),
+        "core": _core_flag(inst, game, alloc),
     }
     if trace_steps is not None:
         report["trace"] = [
@@ -233,16 +232,21 @@ def cmd_allocate(args) -> dict:
 def cmd_check(args) -> dict:
     inst = normalize(parse_instance(args.instance))
     values = parse_allocation(args.allocation, inst.players)
-    oracle = value_oracle(inst)
-    total = oracle(Coalition.full(inst.n))
+    game = _single_game(decompose(inst) if inst.uncapacitated else None)
+    table = None
+    if game is None and inst.n <= ENUMERATION_LIMIT:
+        # v(N) is the table's last entry: one table, one warm program
+        table = coalition_table(inst, inst.n, ENUMERATION_LIMIT, "core enumeration")
+        total = Fraction(table[0][-1], table[1])
+    else:  # a past-the-limit enumeration refuses after the efficiency check
+        total = value_general(inst, Coalition.full(inst.n))
     if sum(values) != total:
         raise InputError(
             f"allocation sums to {exact_string(sum(values))} but the grand "
             f"coalition is worth {exact_string(total)}; core membership needs "
             "exact efficiency"
         )
-    dec = decompose(inst) if inst.uncapacitated else None
-    result = _core_result(inst, _single_game(dec), values, oracle)
+    result = _core_result(inst, game, values, table)
 
     report = {"command": "check", "in_core": result.in_core}
     if not result.in_core:

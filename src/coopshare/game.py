@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add, mul
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -375,41 +376,55 @@ def _transport_program(inst, players, capped, rhs) -> tuple[list, LinearProgram]
 
 class _CappedValues:
     """Coalition values from one program over all players, re-solved for each
-    coalition S from its last optimal basis.  Player i's capacity row reads
-    c_i [i in S], with c_i = D(N), which never binds, for an uncapped player.
-    `data` lists the c_i, then the demands row by row, as integers over `scale`."""
+    coalition S from the last one's optimal basis.  Market j's row reads
+    D_j(S) and player i's capacity row c_i [i in S], with c_i = D(N), which
+    never binds, for an uncapped player; so a player who joins or leaves
+    moves its m demand entries and its one capacity entry, and nothing
+    else.  The data are integers over `scale`; the program starts at the
+    empty coalition, where every right-hand side is 0."""
 
     def __init__(self, inst: NormalizedInstance):
+        n, m = inst.n, inst.m
         total = sum(map(sum, inst.demand))
         caps = [total if q is None else q for q in inst.capacity]
-        self.inst, self.warm = inst, None
-        self.data, self.scale = _numerators([*caps, *(d for row in inst.demand for d in row)])
+        data, self.scale = _numerators([*caps, *(d for row in inst.demand for d in row)])
+        # the (row, amount) pairs that player i adds to the right-hand side
+        self._rows = [[*enumerate(data[n + i * m:n + i * m + m]), (m + i, data[i])]
+                      for i in range(n)]
+        players = range(1, n + 1)
+        self.warm = WarmStart(_transport_program(inst, players, players, [0] * (m + n))[1])
+        self.mask = 0
 
-    def value(self, coalition: Coalition) -> Fraction:
-        n, m, mask = self.inst.n, self.inst.m, coalition.mask
-        members = [i for i in range(n) if mask >> i & 1]
-        rhs = [sum(self.data[n + i * m + j] for i in members) for j in range(m)]
-        rhs += [q if mask >> i & 1 else 0 for i, q in enumerate(self.data[:n])]
-        if self.warm is None:
-            players = range(1, n + 1)
-            self.warm = WarmStart(_transport_program(self.inst, players, players, rhs)[1])
-        return self.warm.value(rhs) / self.scale
+    def numerator(self, mask: int) -> tuple[int, int]:
+        """v(S) of the coalition `mask` as an integer over a positive
+        denominator, not reduced, after moving the program by the players
+        in which S differs from the last coalition."""
+        change, moved = [], mask ^ self.mask
+        while moved:
+            low = moved & -moved
+            sign = 1 if mask & low else -1
+            change += [(k, sign * d) for k, d in self._rows[low.bit_length() - 1]]
+            moved ^= low
+        self.mask = mask
+        num, den = self.warm.move(change)
+        return num, den * self.scale
 
 
 def value_oracle(inst: NormalizedInstance) -> Callable[[Coalition], Fraction]:
     """Characteristic function of the full game, in original units.
 
     Keeps no values: a caller that reads a coalition twice builds a
-    `coalition_table` once.  Coalitions with a capped member are re-solved
-    from the last optimal basis of one program over all players; the rest
-    use the closed form.
+    `coalition_table` once, which reads the instance itself.  Coalitions
+    with a capped member are re-solved from the last optimal basis of one
+    program over all players (`_CappedValues`); the rest use the closed
+    form.
     """
     capped = sum(1 << i for i, q in enumerate(inst.capacity) if q is not None)
     program = _CappedValues(inst) if capped else None
 
     def v(coalition: Coalition) -> Fraction:
         if coalition.mask & capped and not coalition.mask >> inst.n:
-            return program.value(coalition)
+            return Fraction(*program.numerator(coalition.mask))
         return value_general(inst, coalition)
 
     return v
@@ -465,11 +480,22 @@ def value_general(
 
 
 def coalition_table(
-    value: Callable[[Coalition], Fraction], n: int, limit: int, what: str
+    source: Union[NormalizedInstance, Callable[[Coalition], Fraction], tuple[list[int], int]],
+    n: int, limit: int, what: str
 ) -> tuple[list[int], int]:
     """Every coalition value of an n-player game, enumerated once for the
-    2^n routes: numerators over one common denominator, indexed by mask
-    (entry 0, the empty coalition, is 0), and that denominator.
+    2^n routes: numerators over their least common denominator, indexed by
+    mask (entry 0, the empty coalition, is 0), and that denominator.
+
+    `source` is one of:
+    * a value oracle, called once per coalition, in Gray order, so that each
+      coalition is one player off the last;
+    * an n-player `NormalizedInstance`, read as integers with no oracle and
+      no `Fraction`: a capacitated one walks the same Gray order through one
+      warm program (`_CappedValues`), which each step moves by the toggled
+      player only; an uncapacitated one runs the subset recurrence of
+      `_uncapped_table`;
+    * a table this function returned, passed through.
 
     Checks 1 <= n <= limit first; `what` names the route in the error.
     """
@@ -477,16 +503,61 @@ def coalition_table(
         raise InputError("need at least one player")
     if n > limit:
         raise SizeError(f"{what} is limited to {limit} players, got {n}")
+    if isinstance(source, tuple):
+        if len(source[0]) != 1 << n:
+            raise InputError(f"coalition table does not list the 2^{n} coalitions")
+        return source
+    if isinstance(source, NormalizedInstance):
+        if source.n != n:
+            raise InputError(f"the instance has {source.n} players, not {n}")
+        if source.uncapacitated:
+            return _uncapped_table(source)
+        read = _CappedValues(source).numerator
+    else:
+        def read(mask):
+            v = rat(source(Coalition(mask)))
+            return v.numerator, v.denominator
     table, dens = [0] * (1 << n), [1] * (1 << n)  # plain ints: no 2^n Fractions
     for k in range(1, 1 << n):
-        mask = k ^ k >> 1  # Gray order: each coalition one player off the last,
-        # so a warm-started oracle re-solves for a small change
-        v = rat(value(Coalition(mask)))
-        table[mask], dens[mask] = v.numerator, v.denominator
+        mask = k ^ k >> 1  # Gray order
+        num, d = read(mask)
+        common = gcd(num, d)
+        table[mask], dens[mask] = num // common, d // common
     den = lcm(*dens)
     for mask, d in enumerate(dens):
         table[mask] *= den // d
     return table, den
+
+
+def _uncapped_table(inst: NormalizedInstance) -> tuple[list[int], int]:
+    """`coalition_table` of an uncapacitated instance, where v(S) = sum_j
+    best_j(S) * D_j(S), by the subset recurrence D_j(S) = D_j(S - low) +
+    d_low,j and best_j(S) = max(best_j(S - low), p_low,j): O(m) integer
+    operations per coalition, over the profits' common denominator times
+    the demands'.  The walk is depth-first, each S extended by every player
+    below its lowest one, so it holds at most n partial rows at a time.
+    Over a common denominator D the least one is D / gcd(D, every value)."""
+    n, m = inst.n, inst.m
+    profit, p_den = _numerators([p for row in inst.profit for p in row])
+    demand, d_den = _numerators([d for row in inst.demand for d in row])
+    rows = [(profit[i * m:i * m + m], demand[i * m:i * m + m]) for i in range(n)]
+    table = [0] * (1 << n)
+
+    def extend(mask: int, below: int, best: list[int], sums: list[int]) -> None:
+        for k in range(below):
+            p, d = rows[k]
+            b, s = list(map(max, best, p)), list(map(add, sums, d))
+            table[mask | 1 << k] = sum(map(mul, b, s))
+            if k:
+                extend(mask | 1 << k, k, b, s)
+
+    extend(0, n, [0] * m, [0] * m)
+    den = p_den * d_den
+    common = gcd(den, *table)
+    if common > 1:
+        for mask in range(1, len(table)):
+            table[mask] //= common
+    return table, den // common
 
 
 def excesses(table: Sequence[int], den: int, x: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -552,17 +623,19 @@ class CoreCheck:
 
 
 def core_check(
-    v: Union[SingleMarketGame, Callable[[Coalition], Fraction]],
+    v: Union[SingleMarketGame, NormalizedInstance, Callable[[Coalition], Fraction],
+             tuple[list[int], int]],
     x,
     n: Optional[int] = None,
 ) -> CoreCheck:
     """Test x(S) >= v(S) for every proper coalition.
 
     Single-market games use the polynomial minimum-excess scan (x given
-    in the game's canonical space); anything else reads every coalition
-    from `coalition_table` (guarded at n <= 20) and reports the smallest
-    mask among the most violated coalitions.  x is an Allocation or a
-    plain payoff sequence of length n and must be efficient.
+    in the game's canonical space); anything else (an instance, a value
+    oracle or a table) is a source for `coalition_table` (guarded at
+    n <= 20), and the check reports the smallest mask among the most
+    violated coalitions.  x is an Allocation or a plain payoff sequence of
+    length n and must be efficient.
     """
     if isinstance(x, Allocation):
         x = x.values

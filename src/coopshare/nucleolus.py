@@ -6,13 +6,14 @@
   n - 1 rounds, no LP solves; the round state is integers over one
   common denominator and the fixed set is a bitmask.  The direction keeps
   each smallest member's order of candidates, so every order is sorted
-  once per game and a round costs O(n^2) integer operations.
+  once per game; each one's sum over the fixed players is carried from
+  round to round, and a round costs O(n^2) integer operations.
 * `nucleolus_separation` — cutting-plane variant: each lexicographic
   level is solved on one warm dual tableau, where the violated coalitions
   that the polynomial `separate` oracle finds enter as columns.
 * `nucleolus_bruteforce` — the same levels (the prenucleolus) for any
-  characteristic function given as an oracle, read once into
-  `game.coalition_table`; its cuts are the most violated coalitions
+  characteristic function given as an oracle or an instance, read once
+  into `game.coalition_table`; its cuts are the most violated coalitions
   found by scanning that table.  Exponential; guarded at n <= 12.
 
 Both LP routes run one level loop, `_sequential_lp`, from the singletons
@@ -33,11 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import InputError, InternalError
-from .game import (Allocation, Coalition, SingleMarketGame, coalition_table, excesses,
-                   value_single_market)
+from .game import (Allocation, Coalition, NormalizedInstance, SingleMarketGame,
+                   coalition_table, excesses, value_single_market)
 from .ratlp import OPTIMAL, LazyRows, rat
 
 BRUTE_FORCE_LIMIT = 12
@@ -117,7 +118,8 @@ def step_size(
         raise InputError(f"payoff vector has length {len(x)}, expected {g.n}")
     nums, den = g.integer_form.numerators([rat(v) for v in (*x, epsilon)])
     eps = nums.pop()
-    lam, mask = _step(g, nums, eps, den, fixed.mask, _orders(g, nums, den, fixed.mask))
+    lam, mask = _step(g, nums, eps, den, fixed.mask, _orders(g, nums, den, fixed.mask),
+                      _fixed_sums(g, nums, den, fixed.mask, [0] * g.n))
     return lam, Coalition(mask)
 
 
@@ -142,11 +144,31 @@ def _orders(g: SingleMarketGame, nums: Sequence[int], den: int,
     return orders
 
 
+def _fixed_sums(g: SingleMarketGame, nums: Sequence[int], den: int, players: int,
+                sums: list[int]) -> list[int]:
+    """Add to sums[i], for each 0-based position i >= 1, the negative weights
+    nums[j] - alpha_i * share_j over den of the players j > i in the mask
+    `players`; returns `sums`.
+
+    A fixed player's payoff never moves and a larger den scales every
+    weight by the same positive factor, so the sums over F carry across
+    rounds: scaled with den, and added to for each player newly fixed."""
+    form = g.integer_form
+    share = form.shares_over(den)
+    for j in range(2, g.n):
+        if players >> j & 1:
+            for i in range(1, j):
+                w = nums[j] - form.alpha[i] * share[j]
+                if w < 0:
+                    sums[i] += w
+    return sums
+
+
 def _step(g: SingleMarketGame, nums: Sequence[int], eps: int, den: int, fixed_mask: int,
-          orders: Sequence[Sequence[int]]) -> tuple[Fraction, int]:
+          orders: Sequence[Sequence[int]], sums: Sequence[int]) -> tuple[Fraction, int]:
     """`step_size` on x = nums / den and epsilon = eps / den (den a multiple
-    of `integer_form.den`), given that point's `_orders` and an F that
-    leaves a player to fix.
+    of `integer_form.den`), given that point's `_orders` and `_fixed_sums`
+    over F, and an F that leaves a player to fix.
 
     The cheapest candidates for t = 1, 2, ... are running prefix sums over
     i's order, and candidate steps (T - epsilon) / (1 + t) are compared by
@@ -158,18 +180,12 @@ def _step(g: SingleMarketGame, nums: Sequence[int], eps: int, den: int, fixed_ma
     budget = n - 1 - fixed_mask.bit_count()
     form = g.integer_form
     share = form.shares_over(den)
-    # 0-based positions of the fixed players after player 1
-    fixed = [j for j in range(1, n) if fixed_mask >> j & 1]
     # best so far: the step best_num / (den * best_t1), i's order taken to best_take
     best_num, best_t1, best_i, best_take = None, 1, 0, 0
     for i in range(1, n):  # 0-based position of the smallest member
         a = form.alpha[i]
         in_f = fixed_mask >> i & 1
-        total = nums[i] - a * share[i] - eps
-        for j in fixed[bisect_right(fixed, i):]:
-            w = nums[j] - a * share[j]
-            if w < 0:
-                total += w
+        total = nums[i] - a * share[i] - eps + sums[i]
         # t >= 1 counts the candidate's members outside F, i included;
         # each outside player taken (cheapest first) adds one
         t1 = 2 - in_f  # 1 + t before any outside player is taken
@@ -188,8 +204,9 @@ def _step(g: SingleMarketGame, nums: Sequence[int], eps: int, den: int, fixed_ma
     lam = Fraction(best_num, den * best_t1)
     if lam < 0:
         raise InternalError(f"negative step {lam}: state infeasible")
-    a, later = form.alpha[best_i], fixed[bisect_right(fixed, best_i):]
-    members = [j for j in later if nums[j] < a * share[j]] + orders[best_i][:best_take]
+    a = form.alpha[best_i]
+    members = [j for j in range(best_i + 1, n)
+               if fixed_mask >> j & 1 and nums[j] < a * share[j]] + orders[best_i][:best_take]
     return lam, sum(1 << j for j in members) | 1 << best_i
 
 
@@ -218,12 +235,12 @@ def nucleolus_primal_dual(
     nums = [form.alpha[0] * s for s in form.share]
     eps, den, fixed, level = 0, form.den, 0, 0
     _check_drop_one(g, nums, eps, den, fixed)
-    orders = _orders(g, nums, den, fixed)
+    orders, sums = _orders(g, nums, den, fixed), [0] * n
     while fixed.bit_count() < n - 1:
         level += 1
         if level > n - 1:
             raise InternalError("primal-dual exceeded its n - 1 round bound")
-        lam, blocking = _step(g, nums, eps, den, fixed, orders)
+        lam, blocking = _step(g, nums, eps, den, fixed, orders, sums)
         if lam > 0:
             # move x by lam * delta and epsilon by lam
             delta = improving_direction(Coalition(fixed), n)
@@ -232,6 +249,8 @@ def nucleolus_primal_dual(
             step = lam.numerator * (big // lam.denominator)
             nums = [v * up + step * d for v, d in zip(nums, delta)]
             eps, den = eps * up + step, big
+            if up > 1:
+                sums = [v * up for v in sums]
         grown = fixed | blocking
         if grown == fixed:
             raise InternalError("fixed set failed to grow")
@@ -240,6 +259,7 @@ def nucleolus_primal_dual(
         for j in (k for k in range(2, n) if (grown ^ fixed) >> k & 1):
             for order in orders[1:j]:  # a newly fixed player leaves the orders
                 order.remove(j)
+        _fixed_sums(g, nums, den, grown ^ fixed, sums)
         fixed = grown
         _check_drop_one(g, nums, eps, den, fixed)
         if trace is not None:
@@ -530,11 +550,13 @@ class _MaskSpan:
 
 
 def nucleolus_bruteforce(
-    value: Callable[[Coalition], Fraction], n: int
+    value: Union[NormalizedInstance, Callable[[Coalition], Fraction]], n: int
 ) -> Allocation:
-    """Sequential-LP prenucleolus for an arbitrary characteristic function:
-    no level imposes x_i >= v({i}).  It is the nucleolus whenever the core
-    is non-empty, as it is for every instance game.
+    """Sequential-LP prenucleolus for an arbitrary characteristic function,
+    given as a value oracle or as an n-player instance (any source of
+    `coalition_table`): no level imposes x_i >= v({i}).  It is the
+    nucleolus whenever the core is non-empty, as it is for every instance
+    game.
 
     Runs the same level loop as the separation route: maximize the worst
     excess, fix the binding coalitions (negative multiplier, outside the

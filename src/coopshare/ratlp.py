@@ -7,7 +7,7 @@ tableau is kept fraction-free (integer entries sharing one positive
 divisor), which is much faster than per-entry Fraction arithmetic while
 remaining exact.
 
-`WarmStart` re-solves a program for new right-hand sides; `LazyRows` solves
+`WarmStart` re-solves a program as its right-hand side moves; `LazyRows` solves
 the dual of a program whose `>=` rows arrive in batches (the nucleolus
 levels), each row a new column, each re-solve resuming from the last basis,
 and carries its tableau into the next level, so phase 1 starts from there.
@@ -187,6 +187,7 @@ class _Tableau:
         if p <= 0:
             raise InternalError("pivot element must be positive")
         d = self.div
+        unit = p == d == 1  # every pivot, when the rows are totally unimodular
         for i in range(len(mat)):
             if i == r:
                 continue
@@ -195,6 +196,8 @@ class _Tableau:
             if f == 0:
                 if p != d:
                     mat[i] = [a * p // d for a in row]
+            elif unit:
+                mat[i] = [a - f * b for a, b in zip(row, prow)]
             else:
                 mat[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
         self.div = p
@@ -471,7 +474,11 @@ class WarmStart:
     basis: reduced costs do not depend on the right-hand side, so the basis
     stays dual feasible and a few dual simplex pivots restore primal
     feasibility.  Rows and right-hand sides must be integers, the
-    right-hand sides nonnegative and the rows of full rank."""
+    program's own right-hand side nonnegative and the rows of full rank.
+
+    `move` shifts some right-hand sides and re-solves, returning the value
+    as an integer over a positive denominator; `value` sets every
+    right-hand side through it and returns a `Fraction`."""
 
     def __init__(self, lp: LinearProgram):
         can = _Canonical(lp)
@@ -486,19 +493,28 @@ class WarmStart:
         self._can, self._tab, self._rhs = can, tab, [row[-1] for row in can.rows]
 
     def value(self, rhs: Sequence[int]) -> Fraction:
-        """Optimal value for the integer right-hand side `rhs`."""
+        """Optimal value for the integer right-hand side `rhs`, which must be
+        nonnegative."""
         if any(b < 0 for b in rhs):
             raise InternalError("warm re-solves need a nonnegative right-hand side")
+        return Fraction(*self.move([(k, b - old) for k, (b, old)
+                                    in enumerate(zip(rhs, self._rhs)) if b != old]))
+
+    def move(self, change: Sequence[tuple[int, int]]) -> tuple[int, int]:
+        """Add the integer d to right-hand side k for each (k, d) in `change`
+        and re-solve: the optimal value as an integer numerator over a
+        positive denominator, not reduced."""
         can, tab = self._can, self._tab
         # each row's right-hand side, cost row included, is its start (slack/
         # artificial) columns, div * B^-1, times rhs: move it by the change
-        change = [(c, b - old) for c, b, old in zip(can.basis0, rhs, self._rhs) if b != old]
-        for row in tab.mat:
-            row[-1] += sum(row[c] * d for c, d in change)
-        self._rhs = list(rhs)
+        for k, d in change:
+            c = can.basis0[k]
+            for row in tab.mat:
+                row[-1] += row[c] * d
+            self._rhs[k] += d
         if not tab.dual_run(can.n_with_slack):
             raise InternalError("warm re-solve found the program infeasible")
-        return can.sense_sign * Fraction(-tab.mat[-1][-1], tab.div * can.obj_scale)
+        return -can.sense_sign * tab.mat[-1][-1], tab.div * can.obj_scale
 
 
 class LazyRows:

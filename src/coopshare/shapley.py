@@ -1,15 +1,17 @@
 """Shapley values: an O(n) closed form for single-market games, with no
 per-n cache, plus a subset oracle that reads any characteristic
-function's integer `game.coalition_table`."""
+function's integer `game.coalition_table`, from a value oracle or an
+instance."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Callable
+from typing import Callable, Union
 
 from .errors import InputError
-from .game import Allocation, Coalition, SingleMarketGame, coalition_table, excesses
+from .game import (Allocation, Coalition, NormalizedInstance, SingleMarketGame, coalition_table,
+                   excesses)
 
 SUBSET_LIMIT = 10
 
@@ -82,8 +84,10 @@ def shapley_single_market(g: SingleMarketGame) -> Allocation:
     )
 
 
-def shapley_bruteforce(value: Callable[[Coalition], Fraction], n: int) -> Allocation:
-    """Average marginal contribution by direct subset enumeration (n <= 10).
+def shapley_bruteforce(value: Union[NormalizedInstance, Callable[[Coalition], Fraction]],
+                       n: int) -> Allocation:
+    """Average marginal contribution by direct subset enumeration (n <= 10)
+    over the table of a value oracle or an n-player instance.
 
     Each table marginal v(S) - v(S - i) is weighted by the integer
     (|S|-1)!(n-|S|)!; each player's sum is divided once, by n! * den.

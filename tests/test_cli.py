@@ -471,22 +471,22 @@ class TestCheckCommand:
 
 @pytest.fixture
 def value_calls(monkeypatch):
-    """Count the coalition values the CLI computes through `value_oracle`:
-    warm re-solves for coalitions with a capped member, `value_general`
-    for the rest."""
+    """Count the coalition values the CLI computes: re-solves of the one warm
+    program (`_CappedValues.numerator`, which both the instance table and
+    `value_oracle` go through), and `value_general` calls."""
     calls = []
-    real_warm = game_module._CappedValues.value
+    real_warm = game_module._CappedValues.numerator
     real_general = game_module.value_general
 
-    def warm(self, coalition):
-        calls.append(coalition.mask)
-        return real_warm(self, coalition)
+    def warm(self, mask):
+        calls.append(mask)
+        return real_warm(self, mask)
 
     def general(inst, coalition, *args, **kwargs):
         calls.append(coalition.mask)
         return real_general(inst, coalition, *args, **kwargs)
 
-    monkeypatch.setattr(game_module._CappedValues, "value", warm)
+    monkeypatch.setattr(game_module._CappedValues, "numerator", warm)
     monkeypatch.setattr(game_module, "value_general", general)
     return calls
 
@@ -513,6 +513,44 @@ class TestOracleCalls:
         assert report["core"] is not None
         assert len(value_calls) == 2**5 - 1
         assert len(set(value_calls)) == 2**5 - 1
+
+    def test_check_reads_v_of_n_from_its_one_table(self, capsys, tmp_path, value_calls,
+                                                   monkeypatch):
+        builds = []
+        real = game_module.WarmStart
+
+        def counted(lp):
+            builds.append(lp)
+            return real(lp)
+
+        monkeypatch.setattr(game_module, "WarmStart", counted)
+        path = _write(tmp_path, self.CAPACITATED)
+        report = run_json(capsys, "allocate", path, "--method", "nucleolus", "--oracle")
+        allocation = tmp_path / "allocation.json"
+        allocation.write_text(json.dumps(
+            {"allocation": {e["player"]: e["exact"] for e in report["allocation"]}}))
+        del builds[:], value_calls[:]
+        assert run_json(capsys, "check", path, str(allocation))["in_core"] is True
+        assert len(builds) == 1
+        assert sorted(value_calls) == list(range(1, 2**5))
+
+    def test_check_past_the_limit_reports_inefficiency_first(self, capsys, tmp_path):
+        n = ENUMERATION_LIMIT + 1
+        path = _write(tmp_path, {
+            "players": [f"p{i}" for i in range(n)],
+            "markets": [{"name": "m", "price": 2}],
+            "cost": [[1]] * n,
+            "demand": [[1]] * n,
+            "capacity": [1] * n,
+        })
+        allocation = tmp_path / "allocation.json"
+        allocation.write_text(json.dumps({"allocation": [2] * n}))
+        assert run(capsys, "check", path, str(allocation)) == (2, "", (
+            f"error: allocation sums to {2 * n} but the grand coalition is worth {n}; "
+            "core membership needs exact efficiency\n"))
+        allocation.write_text(json.dumps({"allocation": [1] * n}))
+        assert run(capsys, "check", path, str(allocation)) == (3, "", (
+            f"error: core enumeration is limited to {ENUMERATION_LIMIT} players, got {n}\n"))
 
     @pytest.mark.parametrize("method, enumerations", [("nucleolus", 0), ("shapley", 0)])
     def test_core_flag_enumerates_only_without_a_route_verdict(
@@ -575,8 +613,8 @@ class TestCoreFlag:
             x.append(total - sum(x))
             alloc = Allocation(tuple(x), total)
             expected = core_check(oracle, x, n)
-            assert cli_module._core_flag(inst, game, alloc, oracle) == expected.in_core
-            result = cli_module._core_result(inst, game, x, oracle)
+            assert cli_module._core_flag(inst, game, alloc) == expected.in_core
+            result = cli_module._core_result(inst, game, x)
             assert result.in_core == expected.in_core
             if not result.in_core:
                 assert result.excess == expected.excess

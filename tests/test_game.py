@@ -469,6 +469,16 @@ def _capacitated(rng, n, m, den=1, mixed=False, zero_market=False, zero_profit=F
     return normalize(_instance(price, cost, demand, capacity))
 
 
+def _zero_demand(rng, n, m):
+    """No demand anywhere, so every value is 0; some players keep a cap of
+    0..3 and the rest none."""
+    capacity = [rng.choice([None, 0, F(rng.randint(1, 3), rng.randint(1, 2))])
+                for _ in range(n)]
+    return normalize(_instance([rng.randint(1, 9) for _ in range(m)],
+                               [[rng.randint(0, 9) for _ in range(m)] for _ in range(n)],
+                               [[0] * m for _ in range(n)], capacity))
+
+
 def _assert_oracle_matches(inst, rng):
     """Every coalition, in mask order and in shuffled order on a fresh
     oracle, so that re-solves start from arbitrary bases."""
@@ -671,6 +681,57 @@ class TestCoalitionTable:
                 self._assert_table(value_oracle(inst), n)
             g = random_single_market(rng, n)
             self._assert_table(lambda s, g=g: value_single_market(g, s), n)
+
+    INSTANCES = {
+        "all-capped": lambda rng, n, m: _capacitated(rng, n, m, den=3),
+        "mixed-caps": lambda rng, n, m: _capacitated(rng, n, m, den=2, mixed=True),
+        "uncapacitated": lambda rng, n, m: random_uncapacitated(rng, n, m),
+        "zero-demand": lambda rng, n, m: _zero_demand(rng, n, m),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INSTANCES))
+    def test_instance_table_equals_the_oracle_table(self, case):
+        """The integer walk over an instance gives the very pair, table and
+        denominator, that the oracle of the same instance gives."""
+        rng = random.Random(f"table:{case}")
+        for n in range(1, 11):
+            for _ in range(3 if n < 8 else 1):
+                inst = self.INSTANCES[case](rng, n, rng.randint(1, 3))
+                expected = coalition_table(value_oracle(inst), n, 10, "test table")
+                assert coalition_table(inst, n, 10, "test table") == expected, inst
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from(["capped", "mixed", "none"]), st.randoms(use_true_random=False))
+    def test_property_instance_table_equals_the_oracle_table(self, n, m, den, caps, rng):
+        inst = _capacitated(rng, n, m, den=den, mixed=caps == "mixed")
+        if caps == "none":
+            inst = NormalizedInstance(inst.players, inst.markets, inst.profit, inst.demand,
+                                      (None,) * n)
+        table = coalition_table(inst, n, 6, "test table")
+        assert table == coalition_table(value_oracle(inst), n, 6, "test table")
+        assert all(type(t) is int for t in table[0]) and type(table[1]) is int
+
+    def test_uncapacitated_recurrence_at_fourteen_players(self):
+        inst = random_uncapacitated(random.Random(14), 14, 3)
+        table, den = coalition_table(inst, 14, 14, "test table")
+        assert gcd(den, *table) == 1 and table[0] == 0
+        for mask in random.Random(15).sample(range(1, 1 << 14), 200) + [(1 << 14) - 1]:
+            assert F(table[mask], den) == value_general(inst, Coalition(mask)), mask
+
+    def test_instance_and_table_sources_are_checked(self):
+        inst = random_capacitated_integral(random.Random(4), 3, 2)
+        with pytest.raises(InputError):
+            coalition_table(inst, 2, 8, "test table")
+        with pytest.raises(SizeError, match="^test table is limited to 2 players, got 3$"):
+            coalition_table(inst, 3, 2, "test table")
+        table = coalition_table(inst, 3, 8, "test table")
+        assert coalition_table(table, 3, 8, "test table") is table
+        with pytest.raises(InputError):
+            coalition_table(table, 4, 8, "test table")
+        x = [F(table[0][-1], table[1]), 0, 0]
+        expected = core_check(value_oracle(inst), x, 3)
+        assert core_check(table, x, 3) == core_check(inst, x, 3) == expected
 
     def test_guard(self):
         with pytest.raises(InputError):

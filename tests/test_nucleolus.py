@@ -38,7 +38,7 @@ from coopshare import (
 )
 from coopshare import nucleolus as nucleolus_module
 from coopshare.game import coalition_table
-from coopshare.nucleolus import _check_drop_one, _MaskSpan, improving_direction
+from coopshare.nucleolus import _check_drop_one, _fixed_sums, _MaskSpan, improving_direction
 from coopshare.ratlp import (
     EQ,
     FREE,
@@ -940,6 +940,14 @@ def tied_single_market(rng, n):
     return single_market(alpha, [F(w, total) for w in weights])
 
 
+def distinct_single_market(rng, n):
+    """Distinct profits in 1..10^6 and weights in 1..1000: most rounds take
+    a positive step, so den grows and the fixed set fills slowly."""
+    alpha = sorted(rng.sample(range(1, 10**6 + 1), n), reverse=True)
+    weights = [rng.randint(1, 1000) for _ in range(n)]
+    return single_market(alpha, [F(w, sum(weights)) for w in weights])
+
+
 class TestIntegerStepSize:
     @pytest.fixture
     def compared(self, monkeypatch):
@@ -950,8 +958,8 @@ class TestIntegerStepSize:
         fast = nucleolus_module._step
         rounds = []
 
-        def both(g, nums, eps, den, fixed_mask, orders):
-            got = fast(g, nums, eps, den, fixed_mask, orders)
+        def both(g, nums, eps, den, fixed_mask, orders, sums):
+            got = fast(g, nums, eps, den, fixed_mask, orders, sums)
             x = [F(v, den) for v in nums]
             expected = reference_step_size(g, x, F(eps, den), Coalition(fixed_mask))
             assert (got[0], Coalition(got[1])) == expected
@@ -974,6 +982,30 @@ class TestIntegerStepSize:
             g = tied_single_market(rng, rng.randint(2, 14))
             nucleolus_primal_dual(g)
         assert compared.count(0) > 50  # zero steps: ties with the level
+
+    def test_matches_reference_on_distinct_profits(self, compared):
+        rng = random.Random(1000)
+        for _ in range(60):
+            nucleolus_primal_dual(distinct_single_market(rng, rng.randint(2, 14)))
+        assert sum(lam > 0 for lam in compared) > 200
+
+    def test_carried_fixed_sums_equal_fresh_sums_every_round(self, monkeypatch):
+        """The loop scales its sums over F when den grows and adds each newly
+        fixed player's weights; a fresh sum at that round is the same."""
+        fast = nucleolus_module._step
+        rounds = []
+
+        def fresh(g, nums, eps, den, fixed_mask, orders, sums):
+            assert sums == _fixed_sums(g, nums, den, fixed_mask, [0] * g.n)
+            rounds.append(fixed_mask)
+            return fast(g, nums, eps, den, fixed_mask, orders, sums)
+
+        monkeypatch.setattr(nucleolus_module, "_step", fresh)
+        rng = random.Random(77)
+        for k in range(120):
+            make = (random_single_market, tied_single_market, distinct_single_market)[k % 3]
+            nucleolus_primal_dual(make(rng, rng.randint(2, 16)))
+        assert sum(mask.bit_count() >= 2 for mask in rounds) > 300
 
     def test_matches_reference_on_uniform_games(self, compared):
         for n in range(2, 12):

@@ -20,6 +20,7 @@ from coopshare import (
     rat,
     solve_lp,
 )
+from coopshare import ratlp as ratlp_module
 from coopshare.ratlp import LazyRows, WarmStart
 
 
@@ -255,6 +256,41 @@ def test_warm_start_refusals():
         WarmStart(linear_program("max", [1], [([1], "=", 1), ([1], "=", 1)]))
     with pytest.raises(InternalError):
         WarmStart(linear_program("max", [1], [([1], "<=", "1/2")]))
+
+
+def test_non_unit_pivots_through_warm_and_cold_solves(monkeypatch):
+    """Rows with coefficients 2 and 3 beside 1 pivot on entries other than 1,
+    so the general fraction-free update runs beside the unit one (as on a
+    transportation matrix, where every pivot is a unit); every cold solve
+    is certified and equals the solve on the dual, and every warm re-solve
+    equals both."""
+    pivots = []
+    real = ratlp_module._Tableau.pivot
+
+    def counted(tab, r, c):
+        pivots.append(tab.mat[r][c] == tab.div == 1)
+        return real(tab, r, c)
+
+    monkeypatch.setattr(ratlp_module._Tableau, "pivot", counted)
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        rows = [[rng.choice([0, 1, 2, 3]) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        rows.append([rng.choice([1, 2, 3]) for _ in range(n)])  # bounds every variable
+        objective = [F(rng.randint(-2, 6), rng.randint(1, 3)) for _ in range(n)]
+        sense = rng.choice(["max", "min"])
+
+        def program(rhs):
+            return linear_program(sense, objective, [(row, "<=", b) for row, b in zip(rows, rhs)])
+
+        warm = WarmStart(program([rng.randint(0, 9) for _ in rows]))
+        for _ in range(6):
+            rhs = [rng.randint(0, 9) for _ in rows]
+            lp = program(rhs)
+            res = solve_lp(lp)
+            assert_optimal_certificate(lp, res)
+            assert solve_on_dual(lp).value == res.value == warm.value(rhs)
+    assert True in pivots and False in pivots
 
 
 def _level_rows(n, masks, eps, values):
