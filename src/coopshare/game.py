@@ -560,19 +560,17 @@ def _uncapped_table(inst: NormalizedInstance) -> tuple[list[int], int]:
     return table, den // common
 
 
-def excesses(table: Sequence[int], den: int, x: Sequence[Fraction]) -> tuple[list[int], int]:
-    """x(S) - v(S) for every mask S of a coalition table over `den`, as
-    numerators over the least common multiple of den and x's denominators,
-    and that multiple.  x(S) comes from x(S) = x(S - low bit) + x_low."""
-    xs, big = _numerators(x, den)
-    up = big // den
+def excesses(table: Sequence[int], up: int, xs: Sequence[int]) -> list[int]:
+    """x(S) - up * v(S) for every mask S of a coalition table, x given by
+    the integers xs: the excesses over xs's denominator when that is up
+    times the table's.  x(S) comes from x(S) = x(S - low bit) + x_low."""
     sums = [0] * len(table)
     for mask in range(1, len(sums)):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + xs[low.bit_length() - 1]
     for mask, t in enumerate(table):
         sums[mask] -= t * up
-    return sums, big
+    return sums
 
 
 def min_excess(
@@ -657,7 +655,8 @@ def core_check(
     if len(x) != n:
         raise InputError(f"payoff vector has length {len(x)}, expected {n}")
     table, den = coalition_table(v, n, ENUMERATION_LIMIT, "core enumeration")
-    excess, big = excesses(table, den, x)
+    xs, big = _numerators(x, den)
+    excess = excesses(table, big // den, xs)
     if excess[-1]:
         raise InputError("allocation does not distribute v(N) exactly")
     worst_mask, worst_excess = None, 0

@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence, Union
 from .errors import InputError, InternalError
 from .game import (Allocation, Coalition, NormalizedInstance, SingleMarketGame,
                    coalition_table, excesses, value_single_market)
-from .ratlp import OPTIMAL, LazyRows, rat
+from .ratlp import LazyRows, rat
 
 BRUTE_FORCE_LIMIT = 12
 
@@ -317,21 +317,23 @@ def separate(
                 f"separation point violates the fixed value of {coalition}"
             )
         span.add(coalition.mask, value)
-    return _separate(g, x, epsilon, span)
+    return _separate(g, *g.integer_form.numerators([*x, epsilon]), span)
 
 
 def _separate(
-    g: SingleMarketGame, x: Sequence[Fraction], epsilon: Fraction, span: _MaskSpan
+    g: SingleMarketGame, nums: Sequence[int], den: int, span: _MaskSpan
 ) -> Optional[Coalition]:
-    """`separate` at a checked point, with the fixed coalitions already in
-    `span`; the separation route's cut passes its loop's own span.  It scans
+    """`separate` at a checked point x = nums[:n] / den, epsilon = nums[n] /
+    den (den > 0), with the fixed coalitions already in `span`; the
+    separation route's cut passes its loop's own point and span.  It scans
     each weight x_j - alpha_i * share_j as its integer numerator over one
     scale, which keeps every order and comparison, ties to index included."""
     n = g.n
     form = g.integer_form
-    nums, den = form.numerators([*x, epsilon])
-    eps = nums.pop()
-    share = form.shares_over(den)
+    big = lcm(den, form.den)
+    nums = [v * (big // den) for v in nums]
+    eps = nums[n]
+    share = form.shares_over(big)
     for i in range(n):  # 0-based position of the smallest member
         a = form.alpha[i]
         items = sorted((nums[j] - a * share[j], j) for j in range(i + 1, n))
@@ -393,14 +395,17 @@ def _sequential_lp(
 ) -> tuple[tuple[Fraction, ...], Fraction]:
     """The sequential-LP loop both LP routes run; returns the prenucleolus
     (no level imposes x_i >= v({i})) and the first level's value, the
-    least-core value epsilon_1.
+    least-core value epsilon_1.  Between solves it reads only integers:
+    the optimum (x, epsilon) as numerators `nums` over one `den` > 0, the
+    signs of the pool rows' multipliers and the tight flags.  A level's one
+    `Fraction` is its epsilon_k, for the values it fixes.
 
     `value(mask)` is v(S).  A level, max epsilon s.t. x(S) - epsilon >=
     v(S) for the pool and x(T) = r_T for the fixed coalitions, is solved
     on one `LazyRows` tableau, built for the first level and carried into
     each next one, where the newly fixed coalitions join as equalities and
     the pool rows now in the span leave.
-    `cut(x, epsilon, span)` returns coalitions outside the span violated
+    `cut(nums, den, span)` returns coalitions outside the span violated
     at the level optimum, x(S) - v(S) < epsilon; they enter the tableau
     as columns, and the level is re-solved from its last basis until the
     cut returns none.  Then no coalition outside the span is violated, so
@@ -409,10 +414,10 @@ def _sequential_lp(
     an optimal dual of that program: the binding rows fixed below are
     ones the full program could fix.
 
-    Every row with a negative multiplier is tight on the whole optimal
+    Every row with a positive multiplier is tight on the whole optimal
     face (complementary slackness), so each one outside the span of the
     fixed rows is fixed at v(S) + epsilon_k.  The multipliers on the
-    epsilon column sum to -1, so some row is fixed at every level and the
+    epsilon column sum to 1, so some row is fixed at every level and the
     rank grows: at most n - 1 levels.  The last level's optimum is the
     prenucleolus: it meets every earlier fixed equality, it is tight on
     every row fixed at that level (checked below), and those rows raise
@@ -437,29 +442,29 @@ def _sequential_lp(
             if len(pool) > cut_guard:
                 raise InternalError("cutting-plane pool grew past its guard")
             res = level.solve()
-            if res.status != OPTIMAL:
-                raise InternalError(f"level program ended {res.status}")
-            level_value = res.x[n]
-            violated = cut(res.x[:n], level_value, span)
+            if res is None:
+                raise InternalError("level program ended infeasible")
+            nums, den, multipliers, _, tight = res
+            violated = cut(nums, den, span)
             if not violated:
                 break
             pool.extend(violated)
             values.update((m, value(m)) for m in violated)
             level.add(rows(violated))
-        levels.append(level_value)
+        levels.append(Fraction(nums[n], den))
 
         rank = span.rank
         for idx, mask in enumerate(pool):
-            # a negative multiplier on a >= row of a max program marks a
-            # binding constraint (its covering-form dual is positive)
-            if res.duals[idx] < 0:
-                if not res.tight[idx]:
+            # a positive multiplier u (a negative dual) on a >= row of a
+            # max program marks a binding constraint
+            if multipliers[idx] > 0:
+                if not tight[idx]:
                     raise InternalError("binding coalition is not tight")
-                span.add(mask, values[mask] + level_value)
+                span.add(mask, values[mask] + levels[-1])
         if span.rank == rank:
             raise InternalError("no binding independent coalition to fix")
         if span.rank == n:
-            return res.x[:n], levels[0]
+            return tuple(Fraction(v, den) for v in nums[:n]), levels[0]
         keep = [not span.contains(m) for m in pool]
         pool = list(compress(pool, keep))
         level.next_level([(_chi(m, n) + (0,), r)
@@ -478,8 +483,8 @@ def nucleolus_separation(g: SingleMarketGame) -> Allocation:
     if n == 1:
         return _canonical_allocation(g, (g.alpha[0],), method)
 
-    def cut(x, epsilon, span):
-        violated = _separate(g, x, epsilon, span)
+    def cut(nums, den, span):
+        violated = _separate(g, nums, den, span)
         return () if violated is None else (violated.mask,)
 
     xs, _ = _sequential_lp(n, lambda m: value_single_market(g, Coalition(m)), cut)
@@ -491,14 +496,19 @@ class _MaskSpan:
     only answers membership.
 
     The rows are the span's reduced echelon basis scaled to one common
-    pivot value L, integers of gcd 1, kept by the coordinates k that are
-    no pivot: one column per k maps the bit of each pivot p to row p's
-    nonzero entry at k.  S is in the span iff chi(S) is the sum of the
-    rows pivoted in S over L, which holds at the pivots by construction;
-    so iff at every other k those rows sum to L * [k in S], integer
-    additions over S's bits.  `masks` and `rhs` list the coalitions that
-    raised the rank with their values, the fixed system x(S) = r_S that
-    the next level's equality rows are built from.
+    pivot value L, integers of gcd 1, kept by the coordinates t that are
+    no pivot: one column per t maps the bit of each pivot p to row p's
+    nonzero entry c_tp at t.  S is in the span iff chi(S) is the sum of
+    the rows pivoted in S over L, which holds at the pivots by
+    construction; so iff every R_t(S) = L * [t in S] - sum of c_tp over
+    the pivots p in S is zero.  R is linear in chi(S), so `contains` sums
+    one packed integer per member, w_k = sum over t of R_t({k}) * B^t
+    with B = 2 * max over t of (L + sum over p of |c_tp|) + 1: every
+    |R_t(S)| < B / 2, and balanced base-B digits are unique, so the sum
+    is zero iff every R_t(S) is.  `add` keeps the echelon update and
+    repacks.  `masks` and `rhs` list the coalitions that raised the rank
+    with their values, the fixed system x(S) = r_S that the next level's
+    equality rows are built from.
     """
 
     def __init__(self, n: int):
@@ -507,6 +517,7 @@ class _MaskSpan:
         self.rhs: list[Fraction] = []
         self._lead = 1
         self._cols: list[tuple[int, dict[int, int]]] = [(1 << k, {}) for k in range(n)]
+        self._pack()
 
     @property
     def rank(self) -> int:
@@ -518,8 +529,23 @@ class _MaskSpan:
         return ((lead if mask & bit else 0) - sum(c for p, c in col.items() if mask & p)
                 for bit, col in self._cols)
 
+    def _pack(self) -> None:
+        lead, cols = self._lead, self._cols
+        base = 2 * max((lead + sum(map(abs, col.values())) for _, col in cols), default=0) + 1
+        self._weights = w = [0] * self.n
+        for t, (bit, col) in enumerate(cols):
+            digit = base ** t
+            w[bit.bit_length() - 1] += lead * digit
+            for p, c in col.items():
+                w[p.bit_length() - 1] -= c * digit
+
     def contains(self, mask: int) -> bool:
-        return not any(self._residual(mask))
+        weights, total = self._weights, 0
+        while mask:
+            low = mask & -mask
+            total += weights[low.bit_length() - 1]
+            mask ^= low
+        return not total
 
     def add(self, mask: int, value: Fraction) -> bool:
         """Fix x(S) = value unless S is already in the span; True if the
@@ -539,6 +565,7 @@ class _MaskSpan:
         shrink = shrink if d > 0 else -shrink
         self._lead = d * lead // shrink
         self._cols = [(bit, {p: c // shrink for p, c in col.items() if c}) for bit, col in cols]
+        self._pack()
         self.masks.append(mask)
         self.rhs.append(value)
         return True
@@ -573,10 +600,9 @@ def nucleolus_bruteforce(
     if n == 1:
         return Allocation((total,), total, method=method, in_core=True)
 
-    def cut(x, epsilon, span):
-        excess, big = excesses(table, 1, x)
-        bound = -(-epsilon.numerator * big // epsilon.denominator)  # ceil(epsilon * big)
-        violated = sorted((e, m) for m, e in enumerate(excess) if e < bound)
+    def cut(nums, up, span):  # the point is nums / up; the table is integer
+        eps = nums[n]
+        violated = sorted((e, m) for m, e in enumerate(excesses(table, up, nums)) if e < eps)
         return list(islice((m for _, m in violated if not span.contains(m)), 4 * n))
 
     # the nucleolus's least excess is the least-core value: in the core

@@ -1,16 +1,18 @@
 """Exact rational linear programming on dense simplex tableaus.
 
-Every quantity is a `fractions.Fraction`; nothing is ever rounded.  The
-solver is a two-phase dense simplex with Bland's smallest-index rule, so
-results are deterministic and cycling is impossible.  Internally the
-tableau is kept fraction-free (integer entries sharing one positive
-divisor), which is much faster than per-entry Fraction arithmetic while
-remaining exact.
+Every quantity is exact, a `fractions.Fraction` or an integer over a
+stated positive denominator; nothing is ever rounded.  The solver is a
+two-phase dense simplex with Bland's smallest-index rule, so results are
+deterministic and cycling is impossible.  Internally the tableau is kept
+fraction-free (integer entries sharing one positive divisor), which is
+much faster than per-entry Fraction arithmetic while remaining exact.
 
 `WarmStart` re-solves a program as its right-hand side moves; `LazyRows` solves
 the dual of a program whose `>=` rows arrive in batches (the nucleolus
 levels), each row a new column, each re-solve resuming from the last basis,
 and carries its tableau into the next level, so phase 1 starts from there.
+Both return integers, with no `Fraction` built: `WarmStart.move` the value,
+`LazyRows.solve` the point, the dual's solution and the tight rows.
 """
 
 from __future__ import annotations
@@ -527,7 +529,8 @@ class LazyRows:
     c never changes, so a new column keeps the basis feasible: `add` prices
     it from the start columns, which hold div * B^-1, and the cost row's
     start entries, -div * x, rescaling that row when a cost's denominator
-    needs it; `solve` resumes phase-2 primal simplex.  The rows must be
+    needs it; `solve` resumes phase-2 primal simplex and returns the point,
+    the dual's solution and the tight rows as integers.  The rows must be
     integer, the first ones of full column rank and bounding c.x.
     """
 
@@ -555,24 +558,25 @@ class LazyRows:
             raise InternalError(self._NEED)
         del tab.mat[tab.m]
 
-    def _insert(self, at: int, a, b) -> None:
-        """Insert the dual column with coefficients a and cost b at `at`."""
+    def _insert(self, at: int, a, b, sign: int) -> None:
+        """Insert the dual column with coefficients sign * a and cost
+        sign * b at `at`."""
         tab = self._tab
         up = b.denominator // gcd(b.denominator, self._scale)
         if up > 1:
             tab.mat[-1] = [v * up for v in tab.mat[-1]]
             self._scale *= up
-        col = [(self._start + i, v) for i, v in enumerate(a) if v]
+        col = [(self._start + i, sign * v) for i, v in enumerate(a) if v]
         for row in tab.mat:
             row.insert(at, sum(row[i] * v for i, v in col))
-        tab.mat[-1][at] += tab.div * (b * self._scale).numerator
+        tab.mat[-1][at] += tab.div * sign * b.numerator * (self._scale // b.denominator)
         tab.basis = [j + (j >= at) for j in tab.basis]
         self._start += 1
 
     def add(self, rows) -> None:
         """Append `>=` rows (coefficients, right-hand side) as dual columns."""
         for a, b in rows:
-            self._insert(self._start, [-v for v in a], -b)
+            self._insert(self._start, a, b, -1)
 
     def next_level(self, equalities, keep) -> None:
         """Carry the tableau to the next level's program: the `equalities`
@@ -591,7 +595,7 @@ class LazyRows:
         tab, m = self._tab, self._tab.m
         for a, b in equalities:
             for sign in (1, -1):
-                self._insert(self._first, [sign * v for v in a], sign * b)
+                self._insert(self._first, a, b, sign)
                 self._first += 1
         drop = {self._first + i for i, k in enumerate(keep) if not k}
         tab.pivot(max((r for r in range(m) if tab.mat[r][-1] > 0),
@@ -610,21 +614,24 @@ class LazyRows:
         tab.mat.insert(m, [-sum(col) for col in zip(*arts)])
         self._feasible_basis()
 
-    def solve(self) -> LpResult:
-        """The optimum over every row added so far: x, its value, duals (one
-        per `>=` row in order of arrival, then one per equality) and tight
-        rows, read off the dual's tableau."""
+    def solve(self) -> Optional[tuple[list[int], int, list[int], int, list[bool]]]:
+        """The optimum over every row added so far, read off the dual's
+        tableau as integers: (x, den, y, div, tight), or None if the program
+        is infeasible (its dual unbounded).  x lists the point's numerators
+        over den > 0.  y is the dual's solution over div > 0: u_i >= 0 for
+        each `>=` row in order of arrival, positive on a binding row (its
+        dual in `LpResult`'s sense is -u_i / div), then w_t, each
+        equality's dual.  tight flags the `>=` rows active at x."""
         tab, first, start = self._tab, self._first, self._start
         if tab.run(tab.m, start) != OPTIMAL:
-            return LpResult(INFEASIBLE)  # the dual is unbounded
-        cost, scale, zero = tab.mat[-1], tab.div * self._scale, Fraction(0)
-        basic = {c: Fraction(tab.mat[r][-1], tab.div) for r, c in enumerate(tab.basis)}
-        z = [basic.get(c, zero) for c in range(start)]
-        return LpResult(
-            OPTIMAL, Fraction(-cost[-1], scale),
-            tuple(Fraction(-cost[start + i], scale) for i in range(tab.m)),
-            tuple([-u for u in z[first:]] + [z[t] - z[t + 1] for t in range(0, first, 2)]),
-            tuple(v == 0 for v in cost[first:start]) + (True,) * (first // 2))
+            return None
+        cost, z = tab.mat[-1], [0] * start
+        for r, c in enumerate(tab.basis):
+            if c < start:
+                z[c] = tab.mat[r][-1]
+        return ([-v for v in cost[start:-1]], tab.div * self._scale,
+                z[first:] + [z[t] - z[t + 1] for t in range(0, first, 2)], tab.div,
+                [v == 0 for v in cost[first:start]])
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:

@@ -97,14 +97,14 @@ def shapley_bruteforce(value: Union[NormalizedInstance, Callable[[Coalition], Fr
     table, den = coalition_table(value, n, SUBSET_LIMIT, "brute-force Shapley")
     fact = [factorial(k) for k in range(n + 1)]
     weight = [0] + [fact[t - 1] * fact[n - t] for t in range(1, n + 1)]
-    values = []
+    totals = []
     for i in range(n):
         bit = 1 << i
         total = 0
         for mask in range(bit, len(table)):
             if mask & bit:
                 total += weight[mask.bit_count()] * (table[mask] - table[mask ^ bit])
-        values.append(Fraction(total, fact[n] * den))
-    in_core = min(excesses(table, den, values)[0][1:-1], default=0) >= 0
-    return Allocation(values, Fraction(table[-1], den), method="shapley (brute force)",
-                      in_core=in_core)
+        totals.append(total)
+    in_core = min(excesses(table, fact[n], totals)[1:-1], default=0) >= 0
+    return Allocation([Fraction(t, fact[n] * den) for t in totals], Fraction(table[-1], den),
+                      method="shapley (brute force)", in_core=in_core)

@@ -1,8 +1,8 @@
 """Shared helpers: seeded random generators, exact LP certificate checks, the
-nucleolus level program, a reference LP solve on the dual tableau, a
-reference row space and a reference linear solver, the Shapley ordering
-weights, and Fraction references for the enumerating routes and the
-separation cut."""
+nucleolus level program, a reference LP solve on the dual tableau, the
+`LpResult` of an integer level solve, a reference row space and a reference
+linear solver, the Shapley ordering weights, and Fraction references for the
+enumerating routes and the separation cut."""
 
 import random
 from fractions import Fraction
@@ -141,6 +141,21 @@ def solve_on_dual(lp: LinearProgram, tight: bool = False) -> LpResult:
         tight_rows = tuple(sum(a * v for a, v in zip(row, x) if a) == b
                            for row, b in zip(lp.rows, lp.rhs))
     return LpResult("optimal", res.value, x, tuple(f * y for f, y in zip(flips, res.x)), tight_rows)
+
+
+def lazy_result(res) -> LpResult:
+    """The `LpResult` that an integer `LazyRows.solve` result stands for,
+    exactly: x and its value, the last coordinate, over den; the duals
+    -u_i / div of the `>=` rows, then w_t / div of the equalities; the
+    `>=` rows' tight flags, then True for each equality."""
+    if res is None:
+        return LpResult("infeasible")
+    nums, den, y, div, tight = res
+    assert den > 0 and div > 0 and all(u >= 0 for u in y[:len(tight)])
+    x = tuple(Fraction(v, den) for v in nums)
+    duals = [Fraction(-u, div) for u in y[:len(tight)]] + [Fraction(w, div) for w in y[len(tight):]]
+    return LpResult("optimal", x[-1], x, tuple(duals),
+                    tuple(tight) + (True,) * (len(y) - len(tight)))
 
 
 class RowSpace:

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -765,8 +765,9 @@ class TestCoalitionTable:
         table = [0] + data.draw(st.lists(
             st.integers(min_value=-50, max_value=50), min_size=size - 1, max_size=size - 1
         ))
-        excess, big = excesses(table, den, x)
-        assert len(excess) == size and big % den == 0
+        big = lcm(den, *(v.denominator for v in x))
+        excess = excesses(table, big // den, [v.numerator * (big // v.denominator) for v in x])
+        assert len(excess) == size
         for mask in range(size):
             members = Coalition(mask).members()
             x_s = sum((x[p - 1] for p in members), F(0))

@@ -2,12 +2,16 @@ import random
 import sys
 from fractions import Fraction as F
 from itertools import compress
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     RowSpace,
     assert_optimal_certificate,
+    lazy_result,
     level_program,
     random_capacitated_integral,
     random_single_market,
@@ -290,17 +294,24 @@ class TestSeparate:
         assert hits > 20 and misses > 20
 
 
+def point_of(nums, den):
+    """The cut's integer point as Fractions: x and epsilon."""
+    x = [F(v, den) for v in nums]
+    return x[:-1], x[-1]
+
+
 class TestSeparationCut:
     def test_cut_matches_public_separate(self, monkeypatch):
-        """The route's cut reads the loop's span; public `separate` rebuilds
-        it from the fixed list.  Both find the same coalition."""
+        """The route's cut reads the loop's integer point and span; public
+        `separate` takes the point as Fractions and rebuilds the span from
+        the fixed list.  Both find the same coalition."""
         calls = []
         real = nucleolus_module._separate
 
-        def spy(g, x, epsilon, span):
-            found = real(g, x, epsilon, span)
+        def spy(g, nums, den, span):
+            found = real(g, nums, den, span)
             fixed = [(Coalition(m), r) for m, r in zip(span.masks, span.rhs)]
-            calls.append((g, list(x), epsilon, fixed, found))
+            calls.append((g, *point_of(nums, den), fixed, found))
             return found
 
         monkeypatch.setattr(nucleolus_module, "_separate", spy)
@@ -320,9 +331,9 @@ class TestSeparationCut:
         calls = []
         real = nucleolus_module._separate
 
-        def spy(g, x, epsilon, span):
-            found = real(g, x, epsilon, span)
-            assert found == reference_separate(g, x, epsilon, span)
+        def spy(g, nums, den, span):
+            found = real(g, nums, den, span)
+            assert found == reference_separate(g, *point_of(nums, den), span)
             calls.append(found)
             return found
 
@@ -348,7 +359,7 @@ class TestSeparationCut:
             span.add((1 << n) - 1, 0)
             for _ in range(rng.randint(0, n - 1)):
                 span.add(rng.randrange(1, 1 << n), 0)
-            got = nucleolus_module._separate(g, x, eps, span)
+            got = nucleolus_module._separate(g, *g.integer_form.numerators([*x, eps]), span)
             assert got == reference_separate(g, x, eps, span)
             found += got is not None
             weights = [[x[j] - a * g.share[j] for j in range(k + 1, n)]
@@ -429,7 +440,7 @@ def record_levels(monkeypatch) -> list:
 
         def solve(self):
             res = super().solve()
-            self.level.solves.append((len(self.level.pool), res))
+            self.level.solves.append((len(self.level.pool), lazy_result(res)))
             return res
 
     monkeypatch.setattr(nucleolus_module, "LazyRows", Recorded)
@@ -830,16 +841,50 @@ class TestLeximinDefinition:
                 assert other <= base, (g, y)
 
 
+def _chi_list(mask, n):
+    return [mask >> k & 1 for k in range(n)]
+
+
+def _span_probes(rng, n, fixed, count):
+    """Random masks, and unions, differences and overlaps of the last fixed
+    coalitions, which are often in the span; random masks rarely are."""
+    probes = [rng.randrange(1 << n) for _ in range(count)]
+    return probes + [op(a, b) for a in fixed[-3:] for b in fixed[-3:]
+                     for op in (int.__or__, int.__xor__, int.__and__)]
+
+
+def _base(span):
+    """The packing base B = 2 * max over columns t of (L + sum |c_tp|) + 1."""
+    return 2 * max((span._lead + sum(map(abs, col.values())) for _, col in span._cols),
+                   default=0) + 1
+
+
+def _cube_in_span(fracs, n, bits, high):
+    """For every mask high | S with S over the lowest `bits` bits, whether
+    the Fraction echelon residual of its vector is zero.  The residual is
+    linear in the vector, so each mask's is the last one's plus its low
+    bit's; the unit residuals are scaled to integers, so the sums are exact
+    integer vectors."""
+    unit = [fracs._residual(_chi_list(1 << k, n)) for k in range(n)]
+    scale = lcm(*(v.denominator for row in unit for v in row))
+    unit = [[v.numerator * (scale // v.denominator) for v in row] for row in unit]
+    sums = [[sum(col) for col in zip([0] * n, *(unit[k] for k in range(n) if high >> k & 1))]]
+    for mask in range(1, 1 << bits):
+        low = mask & -mask
+        sums.append([a + b for a, b in zip(sums[mask ^ low], unit[low.bit_length() - 1])])
+    return [not any(v) for v in sums]
+
+
 class TestMaskSpan:
     def test_matches_fraction_row_space(self):
         rng = random.Random(99)
         answers = set()
         for _ in range(120):
-            n = rng.randint(2, 12)
+            n = rng.randint(2, 20)
             ints = _MaskSpan(n)
             fracs = RowSpace()
             fixed = []
-            for _ in range(rng.randint(1, 14)):
+            for _ in range(rng.randint(1, min(n + 2, 14))):
                 mask = rng.randrange(1, 1 << n)
                 vec = [mask >> k & 1 for k in range(n)]
                 value = F(rng.randint(-9, 9), rng.randint(1, 4))
@@ -848,18 +893,15 @@ class TestMaskSpan:
                 assert added == fracs.add(vec)
                 if added:
                     fixed.append((mask, value))
-                # unions, differences and overlaps of fixed coalitions are
-                # often in the span; random masks rarely are
-                probes = [rng.randrange(1 << n) for _ in range(10)]
-                probes += [op(a, b) for a, _ in fixed[-3:] for b, _ in fixed[-3:]
-                           for op in (int.__or__, int.__xor__, int.__and__)]
-                for probe in probes:
+                for probe in _span_probes(rng, n, [m for m, _ in fixed], 10):
                     answer = ints.contains(probe)
-                    assert answer == fracs.contains([probe >> k & 1 for k in range(n)])
-                    answers.add((n > 6, answer))
+                    assert answer == fracs.contains(_chi_list(probe, n))
+                    answers.add((n > 6, n > 12, answer))
             assert ints.rank == fracs.rank
             assert list(zip(ints.masks, ints.rhs)) == fixed
-        assert answers == {(False, False), (False, True), (True, False), (True, True)}
+        assert answers == {(big, huge, answer) for big, huge in
+                           ((False, False), (True, False), (True, True))
+                           for answer in (False, True)}
 
     def test_every_mask_after_every_add(self):
         rng = random.Random(100)
@@ -894,6 +936,55 @@ class TestMaskSpan:
             assert span.rank == span.n == len(point)
             rows = [[m >> k & 1 for k in range(span.n)] for m in span.masks]
             assert point == solve_linear_system(rows, span.rhs)
+
+    def test_wide_bases(self):
+        """Dense families on 16 to 20 players give echelon entries, hence
+        packing bases, of many bits; each packed weight then holds n - rank
+        such digits.  After every add, membership matches the Fraction row
+        space on all 2^10 masks over the low bits under a member's high
+        part, and on masks one bit away from the family's."""
+        rng = random.Random(2020)
+        widest, members = 0, 0
+        for n, density in ((16, 0.5), (18, 0.3), (20, 0.5), (20, 0.7)):
+            ints, fracs, fixed = _MaskSpan(n), RowSpace(), []
+            while ints.rank < n - 1:
+                mask = sum(1 << k for k in range(n) if rng.random() < density) or 1
+                assert ints.add(mask, F(0)) == fracs.add(_chi_list(mask, n))
+                fixed.append(mask)
+                widest = max(widest, _base(ints).bit_length())
+                high = rng.choice(fixed) >> 10 << 10
+                cube = _cube_in_span(fracs, n, 10, high)
+                assert [ints.contains(high | low) for low in range(1 << 10)] == cube
+                members += sum(cube)
+                for probe in _span_probes(rng, n, fixed, 4) + [m ^ 1 << k for m in fixed[-2:]
+                                                               for k in range(n)]:
+                    assert ints.contains(probe) == fracs.contains(_chi_list(probe, n))
+        assert widest >= 12 and members > 300
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(1, (1 << n) - 1), max_size=n + 2),
+        st.lists(st.integers(0, (1 << n) - 1), max_size=12),
+    )))
+    def test_packed_sum_matches_echelon_residual(self, case):
+        """For any family, `contains` (one integer sum over the probe's
+        bits) is true exactly where the Fraction echelon residual is zero:
+        on every mask up to 10 players, on the masks over the lowest 10 bits
+        under the last member's high part past that, and on drawn probes
+        and the members' unions, differences and overlaps."""
+        n, family, probes = case
+        ints, fracs = _MaskSpan(n), RowSpace()
+        for mask in family:
+            assert ints.add(mask, F(0)) == fracs.add(_chi_list(mask, n))
+        bits = min(n, 10)
+        high = (family[-1] if family else 0) >> bits << bits
+        assert [ints.contains(high | low) for low in range(1 << bits)] == _cube_in_span(
+            fracs, n, bits, high)
+        probes += [op(a, b) for a in family[-4:] for b in family[-4:]
+                   for op in (int.__or__, int.__xor__, int.__and__)]
+        for probe in probes:
+            assert ints.contains(probe) == fracs.contains(_chi_list(probe, n))
 
 
 def reference_step_size(g, x, epsilon, fixed):

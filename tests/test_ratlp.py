@@ -9,6 +9,7 @@ from conftest import (
     RowSpace,
     assert_optimal_certificate,
     dual_program,
+    lazy_result,
     level_program,
     solve_linear_system,
     solve_on_dual,
@@ -307,7 +308,7 @@ def _assert_grows_to_cold_optima(n, fixed, pool, extra, values):
         if m is not None:
             lazy.add(_level_rows(n, [m], -1, values))
             rows.append(m)
-        res = lazy.solve()
+        res = lazy_result(lazy.solve())
         lp = level_program(n, rows, values, fixed)
         assert res.value == solve_lp(lp).value
         assert_optimal_certificate(lp, res)
@@ -369,7 +370,7 @@ def test_carried_levels_match_cold_solves(n, data):
                 values[m] = data.draw(value)
                 lazy.add(_level_rows(n, [m], -1, values))
                 pool.append(m)
-            res = lazy.solve()
+            res = lazy_result(lazy.solve())
             lp = level_program(n, pool, values, fixed)
             assert res.value == solve_lp(lp).value
             assert_optimal_certificate(lp, res)
@@ -383,6 +384,70 @@ def test_carried_levels_match_cold_solves(n, data):
         fixed += new.items()
         lazy.next_level(_level_rows(n, new, 0, new), keep)
     assert levels <= n - 1
+
+
+def test_integer_results_convert_to_certified_results():
+    """Seeded nucleolus level programs, grown by drawn rows and carried
+    from level to level: each integer `solve` result converts exactly to
+    an `LpResult` that passes the certificate `solve_lp` and the reference
+    on the dual tableau pass, with their value: the dual certificate holds
+    with each multiplier u read as the dual -u / div, and the tight flags
+    are the rows' activities.  Where
+    the rows with a positive multiplier and the equalities pin x (rank
+    n + 1), x is the one optimum, and all three return it."""
+    rng = random.Random(2810)
+    pinned = solves = 0
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        full = (1 << n) - 1
+
+        def value():
+            return F(rng.randint(-12, 12), rng.randint(1, 6))
+
+        space = RowSpace()
+        space.add([1] * n)
+        fixed = [(full, value())]
+        pool = [1 << k for k in range(n)]
+        values = {m: value() for m in pool}
+        lazy = LazyRows((0,) * n + (1,), _level_rows(n, [full], 0, dict(fixed)),
+                        _level_rows(n, pool, -1, values))
+        while True:
+            extra = [m for m in rng.sample(range(1, full), min(3, full - 1))
+                     if m not in pool and not space.contains([m >> k & 1 for k in range(n)])]
+            for m in [None, *extra]:
+                if m is not None:
+                    values[m] = value()
+                    lazy.add(_level_rows(n, [m], -1, values))
+                    pool.append(m)
+                raw = lazy.solve()
+                nums, den, y, div, tight = raw
+                assert all(type(v) is int for v in (*nums, den, *y, div))
+                assert len(nums) == n + 1 and len(tight) == len(pool)
+                assert len(y) == len(pool) + len(fixed)
+                res = lazy_result(raw)
+                lp = level_program(n, pool, values, fixed)
+                cold, dual = solve_lp(lp), solve_on_dual(lp, tight=True)
+                for r in (res, cold, dual):
+                    assert_optimal_certificate(lp, r)
+                assert res.value == cold.value == dual.value == F(nums[n], den)
+                rows = RowSpace()
+                for row, u in zip(lp.rows, y):
+                    if u or row[-1] == 0:
+                        rows.add(row)
+                if rows.rank == n + 1:
+                    assert res.x == cold.x == dual.x
+                    pinned += 1
+                solves += 1
+            new = {m: values[m] + res.value for m, u in zip(pool, y)
+                   if u > 0 and space.add([m >> k & 1 for k in range(n)])}
+            assert new
+            if space.rank == n:
+                break
+            keep = [not space.contains([m >> k & 1 for k in range(n)]) for m in pool]
+            pool = [m for m, k in zip(pool, keep) if k]
+            fixed += new.items()
+            lazy.next_level(_level_rows(n, new, 0, new), keep)
+    assert solves > 100 and pinned > 50
 
 
 def test_lazy_rows_rescale_the_cost_row():
@@ -401,7 +466,7 @@ def test_lazy_rows_refusals():
     # an infeasible program: its dual is unbounded
     lazy = LazyRows((0, 1), [((1, 0), 1)], [((1, -1), 0)])
     lazy.add([((1, 0), 2)])
-    assert lazy.solve().status == "infeasible"
+    assert lazy.solve() is None
 
 
 def test_programs_without_rows_in_both_orientations():
