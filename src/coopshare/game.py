@@ -394,6 +394,9 @@ class _CappedValues:
         players = range(1, n + 1)
         self.warm = WarmStart(_transport_program(inst, players, players, [0] * (m + n))[1])
         self.mask = 0
+        # the players' bits by ascending capacity, an uncapped one's being
+        # D(N); ties to the lower index
+        self.order = [1 << i for i in sorted(range(n), key=data.__getitem__)]
 
     def numerator(self, mask: int) -> tuple[int, int]:
         """v(S) of the coalition `mask` as an integer over a positive
@@ -491,9 +494,12 @@ def coalition_table(
     * a value oracle, called once per coalition, in Gray order, so that each
       coalition is one player off the last;
     * an n-player `NormalizedInstance`, read as integers with no oracle and
-      no `Fraction`: a capacitated one walks the same Gray order through one
-      warm program (`_CappedValues`), which each step moves by the toggled
-      player only; an uncapacitated one runs the subset recurrence of
+      no `Fraction`: a capacitated one walks a Gray order through one warm
+      program (`_CappedValues`), which each step moves by the toggled
+      player only, with the players ranked by ascending capacity (an
+      uncapped one counting as D(N), ties to the lower index) so that the
+      least capacity, which rarely moves the optimal basis, is toggled
+      most often; an uncapacitated one runs the subset recurrence of
       `_uncapped_table`;
     * a table this function returned, passed through.
 
@@ -512,14 +518,17 @@ def coalition_table(
             raise InputError(f"the instance has {source.n} players, not {n}")
         if source.uncapacitated:
             return _uncapped_table(source)
-        read = _CappedValues(source).numerator
+        program = _CappedValues(source)
+        read, bits = program.numerator, program.order
     else:
         def read(mask):
             v = rat(source(Coalition(mask)))
             return v.numerator, v.denominator
+        bits = [1 << k for k in range(n)]
     table, dens = [0] * (1 << n), [1] * (1 << n)  # plain ints: no 2^n Fractions
+    mask = 0
     for k in range(1, 1 << n):
-        mask = k ^ k >> 1  # Gray order
+        mask ^= bits[(k & -k).bit_length() - 1]  # Gray order: step k toggles bit ctz(k)
         num, d = read(mask)
         common = gcd(num, d)
         table[mask], dens[mask] = num // common, d // common
@@ -563,14 +572,13 @@ def _uncapped_table(inst: NormalizedInstance) -> tuple[list[int], int]:
 def excesses(table: Sequence[int], up: int, xs: Sequence[int]) -> list[int]:
     """x(S) - up * v(S) for every mask S of a coalition table, x given by
     the integers xs: the excesses over xs's denominator when that is up
-    times the table's.  x(S) comes from x(S) = x(S - low bit) + x_low."""
-    sums = [0] * len(table)
-    for mask in range(1, len(sums)):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + xs[low.bit_length() - 1]
-    for mask, t in enumerate(table):
-        sums[mask] -= t * up
-    return sums
+    times the table's.  x(S) comes by doubling: the sums of the masks
+    below 2^k, each plus x_k, are the sums of the masks from 2^k to 2^(k+1).
+    Entries of xs past the table's n players (an epsilon) are ignored."""
+    sums = [0]
+    for x in xs[:len(table).bit_length() - 1]:
+        sums += [s + x for s in sums]
+    return [s - t * up for s, t in zip(sums, table)]
 
 
 def min_excess(

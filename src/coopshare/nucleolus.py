@@ -13,8 +13,9 @@
   that the polynomial `separate` oracle finds enter as columns.
 * `nucleolus_bruteforce` — the same levels (the prenucleolus) for any
   characteristic function given as an oracle or an instance, read once
-  into `game.coalition_table`; its cuts are the most violated coalitions
-  found by scanning that table.  Exponential; guarded at n <= 12.
+  into `game.coalition_table`; its cut scans that table for the one most
+  violated coalition outside the fixed span.  Exponential; guarded at
+  n <= 12.
 
 Both LP routes run one level loop, `_sequential_lp`, from the singletons
 and differ only in their cut.  At each level every binding coalition
@@ -588,11 +589,12 @@ def nucleolus_bruteforce(
     Runs the same level loop as the separation route: maximize the worst
     excess, fix the binding coalitions (negative multiplier, outside the
     span of the fixed ones), repeat until one point remains.  Its cut
-    scans every coalition's excess in the table and returns up to 4n of
-    the most violated ones outside the span, least excess first, ties to
-    the smaller mask.  Exponential: n <= 12.  The loop runs on the
-    integer coalition table, i.e. the game scaled by its denominator, and
-    the nucleolus scales back with it.
+    scans every coalition's excess in the table and returns the one most
+    violated coalition outside the span, least excess, ties to the
+    smaller mask: a batch of the 4n most violated adds columns that
+    rarely enter the basis and widen every later pivot.  Exponential:
+    n <= 12.  The loop runs on the integer coalition table, i.e. the game
+    scaled by its denominator, and the nucleolus scales back with it.
     """
     table, den = coalition_table(value, n, BRUTE_FORCE_LIMIT, "brute-force nucleolus")
     method = "nucleolus (brute force)"
@@ -603,7 +605,7 @@ def nucleolus_bruteforce(
     def cut(nums, up, span):  # the point is nums / up; the table is integer
         eps = nums[n]
         violated = sorted((e, m) for m, e in enumerate(excesses(table, up, nums)) if e < eps)
-        return list(islice((m for _, m in violated if not span.contains(m)), 4 * n))
+        return list(islice((m for _, m in violated if not span.contains(m)), 1))
 
     # the nucleolus's least excess is the least-core value: in the core
     # iff that is nonnegative, at any positive scale

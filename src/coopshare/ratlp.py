@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalError
@@ -198,6 +199,8 @@ class _Tableau:
             if f == 0:
                 if p != d:
                     mat[i] = [a * p // d for a in row]
+            elif unit and f in (1, -1):  # every constraint row of a transport tableau
+                mat[i] = list(map(sub if f == 1 else add, row, prow))
             elif unit:
                 mat[i] = [a - f * b for a, b in zip(row, prow)]
             else:

@@ -1,8 +1,9 @@
 """Shared helpers: seeded random generators, exact LP certificate checks, the
 nucleolus level program, a reference LP solve on the dual tableau, the
 `LpResult` of an integer level solve, a reference row space and a reference
-linear solver, the Shapley ordering weights, and Fraction references for the
-enumerating routes and the separation cut."""
+linear solver, the Shapley ordering weights, Fraction references for the
+enumerating routes and the separation cut, and integer references for the
+subset sums and the brute-force cut."""
 
 import random
 from fractions import Fraction
@@ -322,6 +323,25 @@ def reference_separate(g, x, epsilon, span):
             if total + w < bound and not span.contains(cand):
                 return Coalition(cand)
     return None
+
+
+def reference_excesses(table, up, xs):
+    """`game.excesses` by the low-bit recurrence x(S) = x(S - low) + x_low,
+    reading only the first log2(len(table)) entries of xs."""
+    sums = [0] * len(table)
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + xs[low.bit_length() - 1]
+    return [s - t * up for s, t in zip(sums, table)]
+
+
+def reference_bruteforce_cut(table, n, nums, up, span):
+    """The brute-force route's cut in its batched form: up to 4n coalitions
+    violated at the point nums[:n] / up, level nums[n] / up, outside `span`,
+    least excess first, ties to the smaller mask."""
+    violated = sorted((e, m) for m, e in enumerate(reference_excesses(table, up, nums))
+                      if e < nums[n])
+    return [m for _, m in violated if not span.contains(m)][:4 * n]
 
 
 def random_coalition(rng: random.Random, n: int) -> Coalition:

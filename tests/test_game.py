@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -16,6 +17,7 @@ from conftest import (
     random_table_oracle,
     random_uncapacitated,
     reference_core_check,
+    reference_excesses,
 )
 from coopshare import (
     Allocation,
@@ -36,7 +38,7 @@ from coopshare import (
     value_oracle,
     value_single_market,
 )
-from coopshare.game import _transport_program, coalition_table, excesses
+from coopshare.game import _CappedValues, _transport_program, coalition_table, excesses
 
 
 def _instance(price, cost, demand, capacity=None):
@@ -479,6 +481,21 @@ def _zero_demand(rng, n, m):
                                [[0] * m for _ in range(n)], capacity))
 
 
+def _tied_capacities(rng, n, m):
+    """A seeded instance whose capacities tie: each capped player takes one
+    of two levels, the lower one the largest own demand; the rest are
+    uncapped, and at least one player keeps a cap."""
+    demand = [[F(rng.randint(0, 6), rng.randint(1, 2)) for _ in range(m)] for _ in range(n)]
+    low = max(map(sum, demand))
+    levels = (low, low + F(rng.randint(1, 5), 2))
+    keep = rng.randrange(n)
+    capacity = [rng.choice(levels) if i == keep or rng.random() < 0.6 else None
+                for i in range(n)]
+    return normalize(_instance([rng.randint(1, 9) for _ in range(m)],
+                               [[rng.randint(0, 9) for _ in range(m)] for _ in range(n)],
+                               demand, capacity))
+
+
 def _assert_oracle_matches(inst, rng):
     """Every coalition, in mask order and in shuffled order on a fresh
     oracle, so that re-solves start from arbitrary bases."""
@@ -712,6 +729,44 @@ class TestCoalitionTable:
         assert table == coalition_table(value_oracle(inst), n, 6, "test table")
         assert all(type(t) is int for t in table[0]) and type(table[1]) is int
 
+    def test_capped_walk_toggles_the_least_capacity_most(self, monkeypatch):
+        """The capacitated walk reads every nonempty mask once, each one
+        player off the last, and ranks players by capacity: the k-th in
+        ascending capacity, counted from 0 (an uncapped player counting as
+        the total demand D(N), ties to the lower index), is toggled
+        2^(n-1-k) times.  The table still equals `value_general` coalition
+        by coalition."""
+        reads = []
+        real = _CappedValues.numerator
+
+        def spy(self, mask):
+            reads.append(mask)
+            return real(self, mask)
+
+        monkeypatch.setattr(_CappedValues, "numerator", spy)
+        rng = random.Random(2904)
+        tied = uncapped_last = 0
+        for n in range(1, 9):
+            for _ in range(4):
+                inst = _tied_capacities(rng, n, rng.randint(1, 3))
+                reads.clear()
+                table, den = coalition_table(inst, n, 8, "test table")
+                assert sorted(reads) == list(range(1, 1 << n))
+                steps = Counter(a ^ b for a, b in zip([0] + reads, reads))
+                assert all(bit.bit_count() == 1 for bit in steps)
+                total = sum(map(sum, inst.demand))
+                caps = [total if q is None else q for q in inst.capacity]
+                order = sorted(range(n), key=lambda i: (caps[i], i))
+                assert [steps[1 << i] for i in order] == [1 << (n - 1 - k) for k in range(n)]
+                for mask in range(1, 1 << n):
+                    assert F(table[mask], den) == value_general(inst, Coalition(mask)), mask
+                tied += len(set(caps)) < n
+                uncapped = [i for i in order if inst.capacity[i] is None]
+                if uncapped and all(q < total for q in inst.capacity if q is not None):
+                    assert order[-len(uncapped):] == uncapped
+                    uncapped_last += 1
+        assert tied > 15 and uncapped_last > 5
+
     def test_uncapacitated_recurrence_at_fourteen_players(self):
         inst = random_uncapacitated(random.Random(14), 14, 3)
         table, den = coalition_table(inst, 14, 14, "test table")
@@ -759,8 +814,8 @@ class TestCoalitionTable:
         st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=1, max_size=7
     ), st.integers(min_value=1, max_value=12), st.data())
     def test_subset_sums_match_fraction_sums(self, x, den, data):
-        """`excesses` builds x(S) by the low-bit recurrence in integers;
-        x(S) - v(S) equals the Fraction sum minus the table's value."""
+        """`excesses` builds x(S) by doubling in integers; x(S) - v(S)
+        equals the Fraction sum minus the table's value."""
         size = 1 << len(x)
         table = [0] + data.draw(st.lists(
             st.integers(min_value=-50, max_value=50), min_size=size - 1, max_size=size - 1
@@ -772,6 +827,18 @@ class TestCoalitionTable:
             members = Coalition(mask).members()
             x_s = sum((x[p - 1] for p in members), F(0))
             assert F(excess[mask], big) == x_s - F(table[mask], den)
+
+    def test_doubling_matches_the_low_bit_recurrence(self):
+        """On random tables with n = 0..12, with and without a trailing
+        epsilon entry in xs, which is ignored."""
+        rng = random.Random(2906)
+        for n in range(13):
+            table = [0] + [rng.randint(-10**6, 10**6) for _ in range((1 << n) - 1)]
+            xs = [rng.randint(-10**9, 10**9) for _ in range(n)]
+            up = rng.randint(1, 50)
+            expected = reference_excesses(table, up, xs)
+            assert excesses(table, up, xs) == expected
+            assert excesses(table, up, [*xs, rng.randint(-10**9, 10**9)]) == expected
 
 
 class TestGameProperties:

@@ -17,6 +17,7 @@ from conftest import (
     random_single_market,
     random_table_oracle,
     random_uncapacitated,
+    reference_bruteforce_cut,
     reference_separate,
     solve_linear_system,
     solve_on_dual,
@@ -712,6 +713,34 @@ class TestBruteForceOnGeneralGames:
                 value = value_oracle(make(rng, n, m))
                 assert nucleolus_bruteforce(value, n).in_core
                 assert levels and max(len(level.pool) for level in levels) < (1 << n) - 2
+
+    def test_cut_is_the_batched_cuts_first_coalition(self, monkeypatch):
+        """At every call of the route's cut, on single-market and capacitated
+        tables, its one coalition is the first of the up to 4n that the
+        batched reference returns, and it returns none exactly when the
+        reference does."""
+        batches = []
+        real = nucleolus_module._sequential_lp
+
+        def loop(n, value, cut):
+            table = [value(m) for m in range(1 << n)]
+
+            def checked(nums, up, span):
+                found = cut(nums, up, span)
+                batch = reference_bruteforce_cut(table, n, nums, up, span)
+                assert list(found) == batch[:1]
+                batches.append(len(batch))
+                return found
+
+            return real(n, value, checked)
+
+        monkeypatch.setattr(nucleolus_module, "_sequential_lp", loop)
+        rng = random.Random(2905)
+        for n in range(2, 10):
+            for _ in range(2):
+                nucleolus_bruteforce(oracle_of(random_single_market(rng, n)), n)
+                nucleolus_bruteforce(random_capacitated_integral(rng, n, rng.randint(1, 3)), n)
+        assert 0 in batches and max(batches) > 1
 
 
 class TestBruteForceCoreVerdict:
