@@ -27,7 +27,6 @@ from .game import (
     single_market,
     to_single_market,
     value_general,
-    value_oracle,
     value_single_market,
 )
 from .multimarket import (

@@ -171,7 +171,9 @@ def cmd_allocate(args) -> dict:
     inst = normalize(parse_instance(args.instance))
     dec = decompose(inst) if inst.uncapacitated else None
     game = _single_game(dec)
-    if args.trace and (args.method != "nucleolus" or args.oracle or game is None):
+    # the fast nucleolus's domain: one market with demand, or none (v = 0)
+    fast = dec is not None and len(dec.games) <= 1
+    if args.trace and (args.method != "nucleolus" or args.oracle or not fast):
         raise InputError(
             "--trace needs the fast nucleolus on a single-market instance"
         )
@@ -182,13 +184,18 @@ def cmd_allocate(args) -> dict:
     if args.method == "nucleolus":
         if args.oracle:
             alloc = nucleolus_bruteforce(inst, inst.n)
-        elif game is not None:
+        elif fast:
             trace_steps = [] if args.trace else None
-            alloc = nucleolus_primal_dual(game, trace=trace_steps)
+            if game is None:  # the zero game: no rounds
+                zero = (Fraction(0),) * inst.n
+                alloc = Allocation(zero, Fraction(0), "nucleolus (primal-dual)", True)
+            else:
+                alloc = nucleolus_primal_dual(game, trace=trace_steps)
         else:
             raise InputError(
                 "the fast nucleolus needs one market and unlimited capacities; "
-                f"use --oracle (n <= {BRUTE_FORCE_LIMIT}) or --method sum-nucleoli"
+                f"use --oracle (n <= {BRUTE_FORCE_LIMIT})"
+                + (" or --method sum-nucleoli" if dec is not None else "")
             )
     elif args.method == "shapley":
         if args.oracle:

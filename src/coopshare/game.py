@@ -374,65 +374,6 @@ def _transport_program(inst, players, capped, rhs) -> tuple[list, LinearProgram]
     )
 
 
-class _CappedValues:
-    """Coalition values from one program over all players, re-solved for each
-    coalition S from the last one's optimal basis.  Market j's row reads
-    D_j(S) and player i's capacity row c_i [i in S], with c_i = D(N), which
-    never binds, for an uncapped player; so a player who joins or leaves
-    moves its m demand entries and its one capacity entry, and nothing
-    else.  The data are integers over `scale`; the program starts at the
-    empty coalition, where every right-hand side is 0."""
-
-    def __init__(self, inst: NormalizedInstance):
-        n, m = inst.n, inst.m
-        total = sum(map(sum, inst.demand))
-        caps = [total if q is None else q for q in inst.capacity]
-        data, self.scale = _numerators([*caps, *(d for row in inst.demand for d in row)])
-        # the (row, amount) pairs that player i adds to the right-hand side
-        self._rows = [[*enumerate(data[n + i * m:n + i * m + m]), (m + i, data[i])]
-                      for i in range(n)]
-        players = range(1, n + 1)
-        self.warm = WarmStart(_transport_program(inst, players, players, [0] * (m + n))[1])
-        self.mask = 0
-        # the players' bits by ascending capacity, an uncapped one's being
-        # D(N); ties to the lower index
-        self.order = [1 << i for i in sorted(range(n), key=data.__getitem__)]
-
-    def numerator(self, mask: int) -> tuple[int, int]:
-        """v(S) of the coalition `mask` as an integer over a positive
-        denominator, not reduced, after moving the program by the players
-        in which S differs from the last coalition."""
-        change, moved = [], mask ^ self.mask
-        while moved:
-            low = moved & -moved
-            sign = 1 if mask & low else -1
-            change += [(k, sign * d) for k, d in self._rows[low.bit_length() - 1]]
-            moved ^= low
-        self.mask = mask
-        num, den = self.warm.move(change)
-        return num, den * self.scale
-
-
-def value_oracle(inst: NormalizedInstance) -> Callable[[Coalition], Fraction]:
-    """Characteristic function of the full game, in original units.
-
-    Keeps no values: a caller that reads a coalition twice builds a
-    `coalition_table` once, which reads the instance itself.  Coalitions
-    with a capped member are re-solved from the last optimal basis of one
-    program over all players (`_CappedValues`); the rest use the closed
-    form.
-    """
-    capped = sum(1 << i for i, q in enumerate(inst.capacity) if q is not None)
-    program = _CappedValues(inst) if capped else None
-
-    def v(coalition: Coalition) -> Fraction:
-        if coalition.mask & capped and not coalition.mask >> inst.n:
-            return Fraction(*program.numerator(coalition.mask))
-        return value_general(inst, coalition)
-
-    return v
-
-
 def value_general(
     inst: NormalizedInstance,
     coalition: Coalition,
@@ -494,13 +435,17 @@ def coalition_table(
     * a value oracle, called once per coalition, in Gray order, so that each
       coalition is one player off the last;
     * an n-player `NormalizedInstance`, read as integers with no oracle and
-      no `Fraction`: a capacitated one walks a Gray order through one warm
-      program (`_CappedValues`), which each step moves by the toggled
-      player only, with the players ranked by ascending capacity (an
-      uncapped one counting as D(N), ties to the lower index) so that the
-      least capacity, which rarely moves the optimal basis, is toggled
-      most often; an uncapacitated one runs the subset recurrence of
-      `_uncapped_table`;
+      no `Fraction`.  An uncapacitated one runs the subset recurrence of
+      `_uncapped_table`.  A capacitated one walks the Gray order through
+      one `WarmStart` over all players, started at the empty coalition,
+      where every right-hand side is 0: market j's row reads D_j(S) and
+      player i's capacity row c_i [i in S], with c_i = D(N), which never
+      binds, for an uncapped player.  Each step moves the toggled
+      player's m demand entries and one capacity entry, and nothing else,
+      and re-solves from the last optimal basis.  The players are ranked
+      by ascending capacity (an uncapped one counting as D(N), ties to
+      the lower index), so that the least capacity, which rarely moves
+      the optimal basis, is toggled most often;
     * a table this function returned, passed through.
 
     Checks 1 <= n <= limit first; `what` names the route in the error.
@@ -518,18 +463,31 @@ def coalition_table(
             raise InputError(f"the instance has {source.n} players, not {n}")
         if source.uncapacitated:
             return _uncapped_table(source)
-        program = _CappedValues(source)
-        read, bits = program.numerator, program.order
+        m, total = source.m, sum(map(sum, source.demand))
+        caps = [total if q is None else q for q in source.capacity]
+        data, scale = _numerators([*caps, *(d for row in source.demand for d in row)])
+        # the (row, amount) pairs that player i adds to the right-hand side
+        rows = [[*enumerate(data[n + i * m:n + i * m + m]), (m + i, data[i])]
+                for i in range(n)]
+        players = range(1, n + 1)
+        warm = WarmStart(_transport_program(source, players, players, [0] * (m + n))[1])
+        order = sorted(range(n), key=data.__getitem__)  # by capacity, ties by index
+
+        def read(mask, i):
+            sign = 1 if mask >> i & 1 else -1
+            num, d = warm.move([(k, sign * a) for k, a in rows[i]])
+            return num, d * scale
     else:
-        def read(mask):
+        def read(mask, _):
             v = rat(source(Coalition(mask)))
             return v.numerator, v.denominator
-        bits = [1 << k for k in range(n)]
+        order = range(n)
     table, dens = [0] * (1 << n), [1] * (1 << n)  # plain ints: no 2^n Fractions
     mask = 0
     for k in range(1, 1 << n):
-        mask ^= bits[(k & -k).bit_length() - 1]  # Gray order: step k toggles bit ctz(k)
-        num, d = read(mask)
+        i = order[(k & -k).bit_length() - 1]  # Gray order: step k toggles order[ctz(k)]
+        mask ^= 1 << i
+        num, d = read(mask, i)
         common = gcd(num, d)
         table[mask], dens[mask] = num // common, d // common
     den = lcm(*dens)

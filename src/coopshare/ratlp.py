@@ -480,10 +480,7 @@ class WarmStart:
     stays dual feasible and a few dual simplex pivots restore primal
     feasibility.  Rows and right-hand sides must be integers, the
     program's own right-hand side nonnegative and the rows of full rank.
-
-    `move` shifts some right-hand sides and re-solves, returning the value
-    as an integer over a positive denominator; `value` sets every
-    right-hand side through it and returns a `Fraction`."""
+    `move` shifts some right-hand sides and re-solves."""
 
     def __init__(self, lp: LinearProgram):
         can = _Canonical(lp)
@@ -495,15 +492,7 @@ class WarmStart:
         if set(tab.basis) & set(can.art_cols):
             raise InternalError("artificial left basic after phase 1")
         del tab.mat[tab.m]  # the phase-1 cost row is not needed again
-        self._can, self._tab, self._rhs = can, tab, [row[-1] for row in can.rows]
-
-    def value(self, rhs: Sequence[int]) -> Fraction:
-        """Optimal value for the integer right-hand side `rhs`, which must be
-        nonnegative."""
-        if any(b < 0 for b in rhs):
-            raise InternalError("warm re-solves need a nonnegative right-hand side")
-        return Fraction(*self.move([(k, b - old) for k, (b, old)
-                                    in enumerate(zip(rhs, self._rhs)) if b != old]))
+        self._can, self._tab = can, tab
 
     def move(self, change: Sequence[tuple[int, int]]) -> tuple[int, int]:
         """Add the integer d to right-hand side k for each (k, d) in `change`
@@ -516,7 +505,6 @@ class WarmStart:
             c = can.basis0[k]
             for row in tab.mat:
                 row[-1] += row[c] * d
-            self._rhs[k] += d
         if not tab.dual_run(can.n_with_slack):
             raise InternalError("warm re-solve found the program infeasible")
         return -can.sense_sign * tab.mat[-1][-1], tab.div * can.obj_scale

@@ -1,9 +1,10 @@
-"""Shared helpers: seeded random generators, exact LP certificate checks, the
-nucleolus level program, a reference LP solve on the dual tableau, the
-`LpResult` of an integer level solve, a reference row space and a reference
-linear solver, the Shapley ordering weights, Fraction references for the
-enumerating routes and the separation cut, and integer references for the
-subset sums and the brute-force cut."""
+"""Shared helpers: seeded random generators, an instance's characteristic
+function by cold solves, a spy on the warm coalition walk, exact LP
+certificate checks, the nucleolus level program, a reference LP solve on
+the dual tableau, the `LpResult` of an integer level solve, a reference
+row space and a reference linear solver, the Shapley ordering weights,
+Fraction references for the enumerating routes and the separation cut,
+and integer references for the subset sums and the brute-force cut."""
 
 import random
 from fractions import Fraction
@@ -23,8 +24,9 @@ from coopshare import (
     normalize,
     single_market,
     solve_lp,
+    value_general,
 )
-from coopshare.ratlp import EQ, FREE, GE, LE, MAX, MIN, NONNEG, LinearProgram
+from coopshare.ratlp import EQ, FREE, GE, LE, MAX, MIN, NONNEG, LinearProgram, WarmStart
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SINGLE_MARKET_FIXTURE = FIXTURES / "single_market_demo.json"
@@ -87,6 +89,34 @@ def random_capacitated_integral(rng: random.Random, n: int, m: int):
         tuple(capacity),
     )
     return normalize(inst)
+
+
+def cold_oracle(inst):
+    """The instance's characteristic function, one cold `value_general`
+    solve per call: independent of `coalition_table`'s warm walk."""
+    return lambda s: value_general(inst, s)
+
+
+def record_warm_moves(monkeypatch) -> list[int]:
+    """Record, as a mask, the coalition that each `WarmStart.move` re-solves
+    for; each program's walk starts at the empty coalition.  Every move
+    must shift one player's m + 1 right-hand sides, by the amounts that
+    player adds on joining or takes on leaving: market rows 0..m-1, then
+    its capacity row m + i, which names player i."""
+    reads, masks = [], {}
+    real = WarmStart.move
+
+    def move(self, change):
+        m = len(change) - 1
+        player = change[m][0] - m
+        assert [k for k, _ in change[:m]] == list(range(m)) and player >= 0
+        masks[self] = mask = masks.get(self, 0) ^ 1 << player
+        assert all(d >= 0 if mask >> player & 1 else d <= 0 for _, d in change)
+        reads.append(mask)
+        return real(self, change)
+
+    monkeypatch.setattr(WarmStart, "move", move)
+    return reads
 
 
 def level_program(n, masks, values, fixed) -> LinearProgram:

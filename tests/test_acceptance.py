@@ -39,7 +39,6 @@ from coopshare import (
     sum_of_nucleoli,
     to_single_market,
     value_general,
-    value_oracle,
     value_single_market,
 )
 from coopshare.cli import main as cli_main
@@ -106,15 +105,14 @@ def test_criterion_2_multi_market_reproduction():
     with criterion(2, "multi-market demo: true nucleolus vs per-market sum"):
         start = time.perf_counter()
         inst = normalize(parse_instance(str(MULTI_MARKET_FIXTURE)))
-        oracle = value_oracle(inst)
-        truth = nucleolus_bruteforce(oracle, 3)
+        truth = nucleolus_bruteforce(inst, 3)
         sum_of = sum_of_nucleoli(decompose(inst))
         elapsed = time.perf_counter() - start
         assert truth.values == (F(10, 3), F(4, 3), F(4, 3))
         assert sum_of.values == (F(3), F(3, 2), F(3, 2))
         assert truth.total == sum_of.total == 6
         assert sum(truth.values) == sum(sum_of.values) == 6
-        assert core_check(oracle, sum_of.values, 3).in_core
+        assert core_check(inst, sum_of.values, 3).in_core
         assert truth.values != sum_of.values
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 

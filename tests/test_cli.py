@@ -15,7 +15,9 @@ from conftest import (
     HUGE,
     MULTI_MARKET_FIXTURE,
     SINGLE_MARKET_FIXTURE,
+    cold_oracle,
     random_uncapacitated,
+    record_warm_moves,
 )
 from coopshare import (
     Allocation,
@@ -26,7 +28,7 @@ from coopshare import (
     normalize,
     parse_instance,
     to_single_market,
-    value_oracle,
+    value_general,
 )
 from coopshare import cli as cli_module
 from coopshare import game as game_module
@@ -198,6 +200,17 @@ class TestAllocateCommand:
         assert "--oracle" in err
         assert f"--oracle (n <= {BRUTE_FORCE_LIMIT})" in err
 
+    def test_fast_nucleolus_refusal_advises_only_routes_that_run(self, capsys):
+        """Both files have two markets; `sum-nucleoli` runs on the
+        uncapacitated one only, so only its refusal suggests it."""
+        refusal = ("error: the fast nucleolus needs one market and unlimited capacities; "
+                   f"use --oracle (n <= {BRUTE_FORCE_LIMIT})")
+        assert run(capsys, "allocate", MM, "--method", "nucleolus") == (
+            2, "", refusal + " or --method sum-nucleoli\n")
+        assert run(capsys, "allocate", CAP, "--method", "nucleolus") == (2, "", refusal + "\n")
+        assert run(capsys, "allocate", MM, "--method", "sum-nucleoli")[0] == 0
+        assert run(capsys, "allocate", CAP, "--method", "sum-nucleoli")[0] == 2
+
     def test_oracle_shapley_enumerates_every_instance(self, capsys, tmp_path):
         # additivity: brute force equals the per-market sum on the demo
         report = run_json(capsys, "allocate", MM, "--method", "shapley", "--oracle")
@@ -300,27 +313,29 @@ class TestAllocateCommand:
         assert report["allocation"]
 
     def test_all_markets_empty(self, capsys, tmp_path):
-        doc = {
-            "players": ["a", "b"],
-            "markets": [{"name": "m", "price": 3}],
-            "cost": [[1], [2]],
-            "demand": [[0], [0]],
-            "capacity": ["inf", "inf"],
-        }
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps(doc))
-        report = run_json(
-            capsys, "allocate", str(path), "--method", "sum-nucleoli"
-        )
-        assert [e["exact"] for e in report["allocation"]] == ["0", "0"]
-        code, _, err = run(
-            capsys, "allocate", str(path), "--method", "nucleolus"
-        )
-        assert code == 2
-        report = run_json(
-            capsys, "allocate", str(path), "--method", "nucleolus", "--oracle"
-        )
-        assert [e["exact"] for e in report["allocation"]] == ["0", "0"]
+        """Uncapacitated, no market with demand, with one market and with
+        two: the game is zero.  `sum-nucleoli` and both nucleolus routes
+        report zeros, in the core; the fast nucleolus, under its own
+        method, has no rounds to trace."""
+        one = {"markets": [{"name": "m", "price": 3}], "cost": [[1], [2]], "demand": [[0], [0]]}
+        two = {"markets": [{"name": "m", "price": 3}, {"name": "w", "price": 5}],
+               "cost": [[1, 2], [2, 1]], "demand": [[0, 0], [0, 0]]}
+        for doc in (one, two):
+            path = _write(tmp_path, {"players": ["a", "b"], **doc, "capacity": ["inf", "inf"]})
+            sums = run_json(capsys, "allocate", path, "--method", "sum-nucleoli")
+            fast = run_json(capsys, "allocate", path, "--method", "nucleolus", "--trace")
+            oracle = run_json(capsys, "allocate", path, "--method", "nucleolus", "--oracle")
+            assert [e["exact"] for e in sums["allocation"]] == ["0", "0"]
+            assert fast["allocation"] == oracle["allocation"] == sums["allocation"]
+            assert (fast["method"], fast["trace"]) == ("nucleolus (primal-dual)", [])
+            assert fast["total"] == oracle["total"] == {"exact": "0", "decimal": "0.000000"}
+            assert fast["core"] is oracle["core"] is True
+            assert run(capsys, "allocate", path, "--method", "nucleolus", "--trace") == (0, (
+                "method: nucleolus (primal-dual)\n"
+                "v(N): 0 (= 0.000000)\n"
+                "core: yes\n"
+                "  a  0  (= 0.000000)\n"
+                "  b  0  (= 0.000000)\n"), "")
 
     def test_negative_precision_rejected(self, capsys):
         code, _, err = run(
@@ -471,23 +486,17 @@ class TestCheckCommand:
 
 @pytest.fixture
 def value_calls(monkeypatch):
-    """Count the coalition values the CLI computes: re-solves of the one warm
-    program (`_CappedValues.numerator`, which both the instance table and
-    `value_oracle` go through), and `value_general` calls."""
-    calls = []
-    real_warm = game_module._CappedValues.numerator
-    real_general = game_module.value_general
-
-    def warm(self, mask):
-        calls.append(mask)
-        return real_warm(self, mask)
+    """Count the coalition values the CLI computes: moves of a capacitated
+    table's warm program (`WarmStart.move`), and the CLI's `value_general`
+    calls."""
+    calls = record_warm_moves(monkeypatch)
+    real_general = cli_module.value_general
 
     def general(inst, coalition, *args, **kwargs):
         calls.append(coalition.mask)
         return real_general(inst, coalition, *args, **kwargs)
 
-    monkeypatch.setattr(game_module._CappedValues, "numerator", warm)
-    monkeypatch.setattr(game_module, "value_general", general)
+    monkeypatch.setattr(cli_module, "value_general", general)
     return calls
 
 
@@ -573,7 +582,7 @@ class TestOracleCalls:
         monkeypatch.undo()
         inst = normalize(parse_instance(path))
         phi = [F(e["exact"]) for e in report["allocation"]]
-        assert report["core"] is core_check(value_oracle(inst), phi, inst.n).in_core
+        assert report["core"] is core_check(cold_oracle(inst), phi, inst.n).in_core
         if method == "nucleolus":
             assert report["core"] is True
 
@@ -601,7 +610,6 @@ class TestCoreFlag:
             if sum(inst.demand[i][0] for i in range(n)) == 0:
                 continue
             game = to_single_market(inst, 0)
-            oracle = value_oracle(inst)
             total = game.alpha[0] * game.scale
             if rng.random() < 0.5:  # near the proportional split, often in the core
                 x = [
@@ -612,14 +620,15 @@ class TestCoreFlag:
                 x = [F(rng.randint(-2, 9), rng.randint(1, 3)) for _ in range(n - 1)]
             x.append(total - sum(x))
             alloc = Allocation(tuple(x), total)
-            expected = core_check(oracle, x, n)
+            expected = core_check(inst, x, n)
             assert cli_module._core_flag(inst, game, alloc) == expected.in_core
             result = cli_module._core_result(inst, game, x)
             assert result.in_core == expected.in_core
             if not result.in_core:
                 assert result.excess == expected.excess
                 members = result.violated.members()
-                assert sum(x[p - 1] for p in members) - oracle(result.violated) == result.excess
+                excess = sum(x[p - 1] for p in members) - value_general(inst, result.violated)
+                assert excess == result.excess
             verdicts.add(expected.in_core)
         assert verdicts == {True, False}
 

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from conftest import (
     ATOMS,
     HUGE,
+    cold_oracle,
     random_capacitated_integral,
     random_coalition,
     random_single_market,
     random_table_oracle,
     random_uncapacitated,
+    record_warm_moves,
     reference_core_check,
     reference_excesses,
 )
@@ -35,10 +37,9 @@ from coopshare import (
     solve_lp,
     to_single_market,
     value_general,
-    value_oracle,
     value_single_market,
 )
-from coopshare.game import _CappedValues, _transport_program, coalition_table, excesses
+from coopshare.game import _transport_program, coalition_table, excesses
 
 
 def _instance(price, cost, demand, capacity=None):
@@ -496,18 +497,17 @@ def _tied_capacities(rng, n, m):
                                demand, capacity))
 
 
-def _assert_oracle_matches(inst, rng):
-    """Every coalition, in mask order and in shuffled order on a fresh
-    oracle, so that re-solves start from arbitrary bases."""
-    masks = list(range(1, 1 << inst.n))
-    expected = {mask: value_general(inst, Coalition(mask)) for mask in masks}
-    for order in (masks, rng.sample(masks, len(masks))):
-        v = value_oracle(inst)
-        for mask in order:
-            assert v(Coalition(mask)) == expected[mask], (inst, mask)
+def _assert_table_matches(inst):
+    """The instance's table, coalition by coalition, against a cold solve."""
+    table, den = coalition_table(inst, inst.n, 8, "test table")
+    for mask in range(1, 1 << inst.n):
+        assert F(table[mask], den) == value_general(inst, Coalition(mask)), (inst, mask)
 
 
 class TestValueOracle:
+    """An instance's characteristic function as the 2^n routes read it:
+    `coalition_table`'s warm walk, one re-solve per coalition."""
+
     CASES = {
         "integral": lambda rng, n, m: random_capacitated_integral(rng, n, m),
         "fractional": lambda rng, n, m: _capacitated(rng, n, m, den=3),
@@ -521,7 +521,7 @@ class TestValueOracle:
         rng = random.Random(f"oracle:{case}")
         for n in range(2, 9):
             for _ in range(3 if n < 7 else 1):
-                _assert_oracle_matches(self.CASES[case](rng, n, rng.randint(1, 3)), rng)
+                _assert_table_matches(self.CASES[case](rng, n, rng.randint(1, 3)))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -532,13 +532,16 @@ class TestValueOracle:
         st.randoms(use_true_random=False),
     )
     def test_property_matches_value_general(self, n, m, den, mixed, rng):
-        _assert_oracle_matches(_capacitated(rng, n, m, den=den, mixed=mixed), rng)
+        _assert_table_matches(_capacitated(rng, n, m, den=den, mixed=mixed))
 
     def test_out_of_range_coalitions_rejected(self):
-        v = value_oracle(random_capacitated_integral(random.Random(3), 3, 2))
+        inst = random_capacitated_integral(random.Random(3), 3, 2)
         for mask in (0, 1 << 3):
             with pytest.raises(InputError):
-                v(Coalition(mask))
+                value_general(inst, Coalition(mask))
+        for n in (2, 4):
+            with pytest.raises(InputError, match="^the instance has 3 players, not"):
+                coalition_table(inst, n, 8, "test table")
 
 
 class TestMinExcess:
@@ -588,14 +591,10 @@ class TestMinExcess:
 
 class TestCoreCheck:
     def test_multi_demo_core_point(self):
-        from coopshare import value_oracle
-
-        assert core_check(value_oracle(MULTI), [F(2)] * 3, 3).in_core
+        assert core_check(MULTI, [F(2)] * 3, 3).in_core
 
     def test_multi_demo_violation(self):
-        from coopshare import value_oracle
-
-        result = core_check(value_oracle(MULTI), [F(6), F(0), F(0)], 3)
+        result = core_check(MULTI, [F(6), F(0), F(0)], 3)
         assert not result.in_core
         assert result.violated.members() == (2, 3)
         assert result.excess == -2
@@ -606,10 +605,8 @@ class TestCoreCheck:
             core_check(lambda s: F(7), [F(5)], 1)
 
     def test_accepts_allocation_objects(self):
-        from coopshare import Allocation, value_oracle
-
         alloc = Allocation((F(2), F(2), F(2)), F(6))
-        assert core_check(value_oracle(MULTI), alloc, 3).in_core
+        assert core_check(MULTI, alloc, 3).in_core
 
     def test_single_market_fast_path(self):
         assert core_check(DEMO_GAME, [THIRD, THIRD, THIRD]).in_core
@@ -637,14 +634,15 @@ class TestCoreCheck:
         for trial in range(120):
             n = rng.randint(1, 7)
             if trial % 3 == 0:
-                v = value_oracle(random_capacitated_integral(rng, n, rng.randint(1, 3)))
+                source = random_capacitated_integral(rng, n, rng.randint(1, 3))
+                v = cold_oracle(source)
             else:
-                v = random_table_oracle(rng, n)
+                source = v = random_table_oracle(rng, n)
             full = (1 << n) - 1
             x = [F(rng.randint(-3, 9), rng.randint(1, 4)) for _ in range(n)]
             x[-1] += v(Coalition(full)) - sum(x)
             expected = reference_core_check(v, x, n)
-            assert core_check(v, x, n) == expected
+            assert core_check(source, x, n) == expected
             verdicts.add(expected.in_core)
         assert verdicts == {True, False}
 
@@ -673,8 +671,11 @@ class TestCoreCheck:
 
 class TestCoalitionTable:
     @staticmethod
-    def _assert_table(value, n):
-        table, den = coalition_table(value, n, 8, "test table")
+    def _assert_table(source, n, value=None):
+        """The table of `source` against `value`, by default the source
+        itself, coalition by coalition."""
+        value = value or source
+        table, den = coalition_table(source, n, 8, "test table")
         assert len(table) == 1 << n and table[0] == 0
         assert all(isinstance(t, int) for t in table)
         assert isinstance(den, int) and den >= 1
@@ -694,8 +695,8 @@ class TestCoalitionTable:
                 [[F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(m)] for _ in range(n)],
             ))
             for inst in (capped, random_uncapacitated(rng, n, m), fractional):
-                self._assert_table(lambda s, inst=inst: value_general(inst, s), n)
-                self._assert_table(value_oracle(inst), n)
+                self._assert_table(cold_oracle(inst), n)
+                self._assert_table(inst, n, cold_oracle(inst))
             g = random_single_market(rng, n)
             self._assert_table(lambda s, g=g: value_single_market(g, s), n)
 
@@ -709,12 +710,12 @@ class TestCoalitionTable:
     @pytest.mark.parametrize("case", sorted(INSTANCES))
     def test_instance_table_equals_the_oracle_table(self, case):
         """The integer walk over an instance gives the very pair, table and
-        denominator, that the oracle of the same instance gives."""
+        denominator, that cold solves of the same instance give."""
         rng = random.Random(f"table:{case}")
         for n in range(1, 11):
             for _ in range(3 if n < 8 else 1):
                 inst = self.INSTANCES[case](rng, n, rng.randint(1, 3))
-                expected = coalition_table(value_oracle(inst), n, 10, "test table")
+                expected = coalition_table(cold_oracle(inst), n, 10, "test table")
                 assert coalition_table(inst, n, 10, "test table") == expected, inst
 
     @settings(max_examples=40, deadline=None)
@@ -726,24 +727,17 @@ class TestCoalitionTable:
             inst = NormalizedInstance(inst.players, inst.markets, inst.profit, inst.demand,
                                       (None,) * n)
         table = coalition_table(inst, n, 6, "test table")
-        assert table == coalition_table(value_oracle(inst), n, 6, "test table")
+        assert table == coalition_table(cold_oracle(inst), n, 6, "test table")
         assert all(type(t) is int for t in table[0]) and type(table[1]) is int
 
     def test_capped_walk_toggles_the_least_capacity_most(self, monkeypatch):
-        """The capacitated walk reads every nonempty mask once, each one
-        player off the last, and ranks players by capacity: the k-th in
-        ascending capacity, counted from 0 (an uncapped player counting as
-        the total demand D(N), ties to the lower index), is toggled
-        2^(n-1-k) times.  The table still equals `value_general` coalition
-        by coalition."""
-        reads = []
-        real = _CappedValues.numerator
-
-        def spy(self, mask):
-            reads.append(mask)
-            return real(self, mask)
-
-        monkeypatch.setattr(_CappedValues, "numerator", spy)
+        """The capacitated walk makes one warm move per nonempty mask, each
+        move one player's right-hand sides (checked by the spy), and ranks
+        players by capacity: the k-th in ascending capacity, counted from 0
+        (an uncapped player counting as the total demand D(N), ties to the
+        lower index), is toggled 2^(n-1-k) times.  The table still equals
+        `value_general` coalition by coalition."""
+        reads = record_warm_moves(monkeypatch)
         rng = random.Random(2904)
         tied = uncapped_last = 0
         for n in range(1, 9):
@@ -753,7 +747,6 @@ class TestCoalitionTable:
                 table, den = coalition_table(inst, n, 8, "test table")
                 assert sorted(reads) == list(range(1, 1 << n))
                 steps = Counter(a ^ b for a, b in zip([0] + reads, reads))
-                assert all(bit.bit_count() == 1 for bit in steps)
                 total = sum(map(sum, inst.demand))
                 caps = [total if q is None else q for q in inst.capacity]
                 order = sorted(range(n), key=lambda i: (caps[i], i))
@@ -785,7 +778,7 @@ class TestCoalitionTable:
         with pytest.raises(InputError):
             coalition_table(table, 4, 8, "test table")
         x = [F(table[0][-1], table[1]), 0, 0]
-        expected = core_check(value_oracle(inst), x, 3)
+        expected = core_check(cold_oracle(inst), x, 3)
         assert core_check(table, x, 3) == core_check(inst, x, 3) == expected
 
     def test_guard(self):

@@ -20,7 +20,6 @@ from coopshare import (
     sum_of_nucleoli,
     to_single_market,
     value_general,
-    value_oracle,
     value_single_market,
 )
 
@@ -73,7 +72,7 @@ class TestCorePoint:
         alloc = core_point(decompose(MULTI))
         assert alloc.values == (F(2), F(2), F(2))
         assert alloc.total == 6
-        assert core_check(value_oracle(MULTI), alloc.values, 3).in_core
+        assert core_check(MULTI, alloc.values, 3).in_core
 
     def test_dominant_player_takes_everything(self):
         inst = normalize(
@@ -99,10 +98,10 @@ class TestSumOfNucleoli:
         alloc = sum_of_nucleoli(decompose(MULTI))
         assert alloc.values == (F(3), F(3, 2), F(3, 2))
         assert alloc.total == 6
-        assert core_check(value_oracle(MULTI), alloc.values, 3).in_core
+        assert core_check(MULTI, alloc.values, 3).in_core
 
     def test_differs_from_true_nucleolus(self):
-        direct = nucleolus_bruteforce(value_oracle(MULTI), 3)
+        direct = nucleolus_bruteforce(MULTI, 3)
         assert direct.values == (F(10, 3), F(4, 3), F(4, 3))
         assert sum_of_nucleoli(decompose(MULTI)).values != direct.values
         assert direct.total == 6
@@ -120,7 +119,7 @@ class TestSumOfNucleoli:
 class TestShapleyMultimarket:
     def test_multi_demo_matches_oracle(self):
         alloc = shapley_multimarket(decompose(MULTI))
-        direct = shapley_bruteforce(value_oracle(MULTI), 3)
+        direct = shapley_bruteforce(MULTI, 3)
         assert alloc.values == direct.values == (F(10, 3), F(4, 3), F(4, 3))
 
     def test_uniform_instance(self):
@@ -187,11 +186,10 @@ class TestRandomizedProperties:
                     F(0),
                 )
                 assert total == value_general(inst, s)
-            oracle = value_oracle(inst)
-            assert core_check(oracle, core_point(dec).values, n).in_core
-            assert core_check(oracle, sum_of_nucleoli(dec).values, n).in_core
+            assert core_check(inst, core_point(dec).values, n).in_core
+            assert core_check(inst, sum_of_nucleoli(dec).values, n).in_core
             fast = shapley_multimarket(dec)
-            assert fast.values == shapley_bruteforce(oracle, n).values
+            assert fast.values == shapley_bruteforce(inst, n).values
 
     def test_core_solutions_at_larger_sizes(self):
         rng = random.Random(62)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     RowSpace,
     assert_optimal_certificate,
+    cold_oracle,
     lazy_result,
     level_program,
     random_capacitated_integral,
@@ -38,7 +39,7 @@ from coopshare import (
     single_market,
     solve_lp,
     step_size,
-    value_oracle,
+    value_general,
     value_single_market,
 )
 from coopshare import nucleolus as nucleolus_module
@@ -506,7 +507,7 @@ class TestLevelProgramCertificates:
         carried = 0
         for n in range(2, 9):
             g = random_single_market(rng, n)
-            capped = value_oracle(random_capacitated_integral(rng, n, 2))
+            capped = random_capacitated_integral(rng, n, 2)
             for route in (lambda: nucleolus_separation(g),
                           lambda: nucleolus_bruteforce(oracle_of(g), n),
                           lambda: nucleolus_bruteforce(capped, n)):
@@ -529,7 +530,7 @@ class TestBruteForce:
                 (None, None, None),
             )
         )
-        alloc = nucleolus_bruteforce(value_oracle(inst), 3)
+        alloc = nucleolus_bruteforce(inst, 3)
         assert alloc.values == (F(10, 3), F(4, 3), F(4, 3))
         assert alloc.total == 6
 
@@ -557,10 +558,9 @@ class TestBruteForce:
                 (F(3), F(4), F(2)),
             )
         )
-        oracle = value_oracle(inst)
-        alloc = nucleolus_bruteforce(oracle, 3)
-        assert sum(alloc.values) == alloc.total == oracle(Coalition.full(3))
-        assert core_check(oracle, alloc.values, 3).in_core
+        alloc = nucleolus_bruteforce(inst, 3)
+        assert sum(alloc.values) == alloc.total == value_general(inst, Coalition.full(3))
+        assert core_check(inst, alloc.values, 3).in_core
 
 
 def reference_bruteforce(value, n):
@@ -626,9 +626,9 @@ class TestBruteForceOnGeneralGames:
             for m in (2, 3):
                 for make in (random_capacitated_integral, random_uncapacitated):
                     for _ in range(2):
-                        value = value_oracle(make(rng, n, m))
-                        got = nucleolus_bruteforce(value, n)
-                        assert got.values == reference_bruteforce(value, n)
+                        inst = make(rng, n, m)
+                        got = nucleolus_bruteforce(inst, n)
+                        assert got.values == reference_bruteforce(cold_oracle(inst), n)
                         games += 1
         assert games == 40
 
@@ -636,14 +636,16 @@ class TestBruteForceOnGeneralGames:
         """Arbitrary characteristic functions, and market games past the
         sizes above: the lazy rows reach the reference's nucleolus."""
         rng = random.Random(1995)
-        games = [(random_table_oracle(rng, n), n) for n in range(2, 10) for _ in range(2)]
+        tables = [(random_table_oracle(rng, n), n) for n in range(2, 10) for _ in range(2)]
+        games = [(value, value, n) for value, n in tables]
         games += [
-            (value_oracle(make(rng, n, m)), n)
+            (inst, cold_oracle(inst), n)
             for n in (7, 8) for m in (2, 3)
             for make in (random_capacitated_integral, random_uncapacitated)
+            for inst in [make(rng, n, m)]
         ]
-        for value, n in games:
-            assert nucleolus_bruteforce(value, n).values == reference_bruteforce(value, n)
+        for source, value, n in games:
+            assert nucleolus_bruteforce(source, n).values == reference_bruteforce(value, n)
 
     def test_matches_primal_dual_up_to_the_guard(self):
         rng = random.Random(1997)
@@ -683,17 +685,17 @@ class TestBruteForceOnGeneralGames:
                 monkeypatch.setattr(module, "solve_lp", solve)
         monkeypatch.setattr(nucleolus_module, "_sequential_lp", loop)
         rng = random.Random(4096)
-        oracles = [
+        sources = [
             (oracle_of(random_single_market(rng, n)), n)
             for n in range(2, 9) for _ in range(3)
         ] + [
-            (value_oracle(random_capacitated_integral(rng, n, 2)), n)
+            (random_capacitated_integral(rng, n, 2), n)
             for n in range(2, 7) for _ in range(3)
         ]
-        for value, n in oracles:
+        for source, n in sources:
             levels.clear()
             cuts.clear()
-            nucleolus_bruteforce(value, n)
+            nucleolus_bruteforce(source, n)
             assert len(cuts) == sum(len(level.solves) for level in levels)
             assert 1 <= cuts.count(0) <= n - 1
             assert cuts.count(0) == len(levels)
@@ -710,8 +712,7 @@ class TestBruteForceOnGeneralGames:
         for make in (random_capacitated_integral, random_uncapacitated):
             for m in (2, 3):
                 levels.clear()
-                value = value_oracle(make(rng, n, m))
-                assert nucleolus_bruteforce(value, n).in_core
+                assert nucleolus_bruteforce(make(rng, n, m), n).in_core
                 assert levels and max(len(level.pool) for level in levels) < (1 << n) - 2
 
     def test_cut_is_the_batched_cuts_first_coalition(self, monkeypatch):
@@ -760,7 +761,7 @@ class TestBruteForceCoreVerdict:
     def test_market_games_are_in_the_core(self):
         rng = random.Random(1969)
         games = [
-            (value_oracle(make(rng, n, m)), n)
+            (make(rng, n, m), n)
             for n in range(2, 7) for m in (1, 2, 3)
             for make in (random_capacitated_integral, random_uncapacitated)
         ]
@@ -782,10 +783,11 @@ class TestBruteForceCoreVerdict:
         rng = random.Random(2026)
         for n in range(2, 9):
             for make in (random_capacitated_integral, random_uncapacitated):
-                value = value_oracle(make(rng, n, 2))
-                got = nucleolus_bruteforce(value, n)
+                inst = make(rng, n, 2)
+                got = nucleolus_bruteforce(inst, n)
                 assert got.in_core
-                assert all(x >= value(Coalition(1 << k)) for k, x in enumerate(got.values))
+                assert all(x >= value_general(inst, Coalition(1 << k))
+                           for k, x in enumerate(got.values))
 
     def test_random_characteristic_functions(self):
         rng = random.Random(1979)
@@ -954,11 +956,11 @@ class TestMaskSpan:
                 g = random_single_market(rng, n)
                 assert nucleolus_separation(g).values == g.to_original(runs[-1][1])
         for n in range(2, 8):
-            for value in (random_table_oracle(rng, n),
-                          value_oracle(random_capacitated_integral(rng, n, 2)),
-                          value_oracle(random_uncapacitated(rng, n, 3))):
-                _, den = coalition_table(value, n, n, "test table")
-                got = nucleolus_bruteforce(value, n).values
+            for source in (random_table_oracle(rng, n),
+                           random_capacitated_integral(rng, n, 2),
+                           random_uncapacitated(rng, n, 3)):
+                _, den = coalition_table(source, n, n, "test table")
+                got = nucleolus_bruteforce(source, n).values
                 assert got == tuple(v / den for v in runs[-1][1])
         assert len(runs) == 27 + 18
         for span, point in runs:

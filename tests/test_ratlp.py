@@ -218,6 +218,17 @@ def _warm_program(rng, sense, n):
     return eq, le, program
 
 
+def _move_to(warm, rhs, target):
+    """Move `warm` from the right-hand side `rhs` to the integers `target`,
+    by the entries that differ, and set rhs to target: the re-solved
+    value."""
+    change = [(k, int(b) - a) for k, (a, b) in enumerate(zip(rhs, target)) if b != a]
+    rhs[:] = map(int, target)
+    num, den = warm.move(change)
+    assert type(num) is type(den) is int and den > 0
+    return F(num, den)
+
+
 def test_warm_start_matches_cold_solves():
     rng = random.Random(515)
     programs = 0
@@ -234,25 +245,26 @@ def test_warm_start_matches_cold_solves():
             x0 = [rng.randint(0, 4) for _ in range(n)]
             return program(x0, [rng.randint(0, 3) for _ in le])
 
-        warm = WarmStart(draw())
+        start = draw()
+        warm, rhs = WarmStart(start), [int(b) for b in start.rhs]
         for _ in range(12):
             lp = draw()
-            assert warm.value([int(b) for b in lp.rhs]) == solve_lp(lp).value
+            assert _move_to(warm, rhs, lp.rhs) == solve_lp(lp).value
 
 
 def test_warm_start_refusals():
     lp = linear_program("max", [1, 2], [([1, 1], "=", 2), ([0, 1], "<=", 1)])
-    warm = WarmStart(lp)
-    assert warm.value([2, 1]) == 3
-    assert warm.value([3, 0]) == 3
-    with pytest.raises(InternalError):
-        warm.value([-1, 1])
+    warm, rhs = WarmStart(lp), [2, 1]
+    assert _move_to(warm, rhs, [2, 1]) == 3
+    assert _move_to(warm, rhs, [3, 0]) == 3
+    with pytest.raises(InternalError):  # no x >= 0 sums to -1
+        _move_to(warm, rhs, [-1, 1])
     infeasible = linear_program("max", [1], [([1], "=", 2), ([1], "<=", 1)])
     with pytest.raises(InternalError):
         WarmStart(infeasible)
     bounded = WarmStart(linear_program("max", [1], [([1], "=", 1), ([1], "<=", 1)]))
     with pytest.raises(InternalError):
-        bounded.value([2, 1])  # the equality asks for more than the bound allows
+        bounded.move([(0, 1)])  # the equality asks for more than the bound allows
     with pytest.raises(InternalError):  # dependent rows leave an artificial basic
         WarmStart(linear_program("max", [1], [([1], "=", 1), ([1], "=", 1)]))
     with pytest.raises(InternalError):
@@ -284,13 +296,14 @@ def test_non_unit_pivots_through_warm_and_cold_solves(monkeypatch):
         def program(rhs):
             return linear_program(sense, objective, [(row, "<=", b) for row, b in zip(rows, rhs)])
 
-        warm = WarmStart(program([rng.randint(0, 9) for _ in rows]))
+        last = [rng.randint(0, 9) for _ in rows]
+        warm = WarmStart(program(last))
         for _ in range(6):
             rhs = [rng.randint(0, 9) for _ in rows]
             lp = program(rhs)
             res = solve_lp(lp)
             assert_optimal_certificate(lp, res)
-            assert solve_on_dual(lp).value == res.value == warm.value(rhs)
+            assert solve_on_dual(lp).value == res.value == _move_to(warm, last, rhs)
     assert True in pivots and False in pivots
 
 

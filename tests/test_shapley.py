@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from conftest import (
+    cold_oracle,
     random_capacitated_integral,
     random_single_market,
     random_table_oracle,
@@ -21,7 +22,6 @@ from coopshare import (
     shapley_bruteforce,
     shapley_single_market,
     single_market,
-    value_oracle,
     value_single_market,
 )
 
@@ -155,8 +155,8 @@ class TestBruteForce:
         # the route reads every proper excess off its own table
         rng = random.Random(1969)
         makers = {
-            "capacitated": lambda n: value_oracle(random_capacitated_integral(rng, n, 2)),
-            "uncapacitated": lambda n: value_oracle(random_uncapacitated(rng, n, 2)),
+            "capacitated": lambda n: random_capacitated_integral(rng, n, 2),
+            "uncapacitated": lambda n: random_uncapacitated(rng, n, 2),
             "table": lambda n: random_table_oracle(rng, n),
         }
         verdicts = {kind: set() for kind in makers}
@@ -174,12 +174,13 @@ class TestBruteForce:
         for trial in range(60):
             n = rng.randint(1, 7)
             if trial % 3 == 0:
-                v = value_oracle(random_capacitated_integral(rng, n, rng.randint(1, 3)))
+                source = random_capacitated_integral(rng, n, rng.randint(1, 3))
+                v = cold_oracle(source)
             elif trial % 3 == 1:
-                v = oracle_of(random_single_market(rng, n))
+                source = v = oracle_of(random_single_market(rng, n))
             else:
-                v = random_table_oracle(rng, n)
-            got, expected = shapley_bruteforce(v, n), reference_shapley_bruteforce(v, n)
+                source = v = random_table_oracle(rng, n)
+            got, expected = shapley_bruteforce(source, n), reference_shapley_bruteforce(v, n)
             assert (got.values, got.total, got.method) == (
                 expected.values, expected.total, expected.method)
 
