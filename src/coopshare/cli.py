@@ -241,11 +241,12 @@ def cmd_check(args) -> dict:
     values = parse_allocation(args.allocation, inst.players)
     game = _single_game(decompose(inst) if inst.uncapacitated else None)
     table = None
-    if game is None and inst.n <= ENUMERATION_LIMIT:
+    if not inst.uncapacitated and inst.n <= ENUMERATION_LIMIT:
         # v(N) is the table's last entry: one table, one warm program
         table = coalition_table(inst, inst.n, ENUMERATION_LIMIT, "core enumeration")
         total = Fraction(table[0][-1], table[1])
-    else:  # a past-the-limit enumeration refuses after the efficiency check
+    else:  # v(N) alone (in closed form when uncapacitated), so an
+        # inefficient allocation is refused before any table is built
         total = value_general(inst, Coalition.full(inst.n))
     if sum(values) != total:
         raise InputError(

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DegenerateMarketError, UnsupportedModeError
+from .errors import DegenerateMarketError, InternalError, UnsupportedModeError
 from .game import (Allocation, NormalizedInstance, SingleMarketGame, _numerators,
                    to_single_market)
-from .nucleolus import nucleolus_primal_dual
+from .nucleolus import _primal_dual
 from .shapley import shapley_single_market
 
 
@@ -66,8 +66,25 @@ def core_point(dec: MarketDecomposition) -> Allocation:
 
 
 def sum_of_nucleoli(dec: MarketDecomposition) -> Allocation:
-    """Per-market nucleoli summed; in the core, but not the true nucleolus."""
-    parts = [_numerators(nucleolus_primal_dual(g).values) for g in dec.games]
+    """Per-market nucleoli summed; in the core, but not the true nucleolus.
+
+    Each market's nucleolus stays in integers: its canonical numerators
+    over den go to original order through perm and to demand units by
+    scaling the numerators with scale's numerator and den with its
+    denominator."""
+    parts = []
+    for g in dec.games:
+        nums, den = _primal_dual(g, None)
+        form = g.integer_form
+        # efficiency, x(N) = alpha_1: sum(nums) / den = alpha[0] / alpha_den
+        if sum(nums) * form.alpha_den != form.alpha[0] * den:
+            raise InternalError(
+                f"market nucleolus sums to {Fraction(sum(nums), den)}, expected {g.alpha[0]}"
+            )
+        column = [0] * g.n
+        for p, v in zip(g.perm, nums):
+            column[p - 1] = v * g.scale.numerator
+        parts.append((column, den * g.scale.denominator))
     return _combine(dec, parts, "sum of per-market nucleoli", True)
 
 

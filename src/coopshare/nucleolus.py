@@ -6,8 +6,10 @@
   n - 1 rounds, no LP solves; the round state is integers over one
   common denominator and the fixed set is a bitmask.  The direction keeps
   each smallest member's order of candidates, so every order is sorted
-  once per game; each one's sum over the fixed players is carried from
-  round to round, and a round costs O(n^2) integer operations.
+  once per game and read in place; each one's sum over the fixed players
+  is carried from round to round, and the shares over the denominator
+  are built once and rescaled only when it grows.  A round costs O(n^2)
+  integer operations.  `sum_of_nucleoli` takes the result as integers.
 * `nucleolus_separation` — cutting-plane variant: each lexicographic
   level is solved on one warm dual tableau, where the violated coalitions
   that the polynomial `separate` oracle finds enter as columns.
@@ -48,16 +50,32 @@ BRUTE_FORCE_LIMIT = 12
 def improving_direction(fixed: Coalition, n: int) -> tuple[int, ...]:
     """Direction raising the level: +|unfixed - 1| on player 1, -1 on the
     other unfixed players, 0 on fixed ones; preserves efficiency."""
-    delta = [0 if fixed.mask >> k & 1 else -1 for k in range(n)]
-    if not fixed.mask & 1:
-        delta[0] = n - 1 - len(fixed)
+    return tuple(_direction(fixed.mask, n))
+
+
+def _direction(fixed_mask: int, n: int) -> list[int]:
+    """`improving_direction` on the fixed set as a mask, as the loop holds it."""
+    members = list(_positions(fixed_mask))
+    delta = [-1] * n
+    for k in members:
+        delta[k] = 0
+    if not fixed_mask & 1:
+        delta[0] = n - 1 - len(members)
     if sum(delta) != 0:
         raise InternalError("improving direction must preserve efficiency")
     # zero on every fixed player and on N as a whole pins the direction
     # orthogonal to the entire fixed family
-    if any(delta[k] != 0 for k in range(n) if fixed.mask >> k & 1):
+    if any(delta[k] for k in members):
         raise InternalError("direction must vanish on the fixed set")
-    return tuple(delta)
+    return delta
+
+
+def _positions(mask: int):
+    """The 0-based positions of the mask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _check_drop_one(
@@ -65,19 +83,18 @@ def _check_drop_one(
 ) -> None:
     # Every player outside the fixed set (other than 1) must keep the
     # drop-one coalition N\{i} tight at the current level:
-    # x(N) - x_i = alpha_1 * (1 - share_i) + epsilon, over den.
+    # x(N) - x_i = alpha_1 * (1 - share_i) + epsilon, over den, i.e.
+    # x_i - alpha_1 * share_i = x(N) - alpha_1 - epsilon.
     form = g.integer_form
-    up = den // form.den
-    top = form.alpha[0] * up
+    top = form.alpha[0] * (den // form.den)
     total = sum(nums)
-    for i in range(2, g.n + 1):
-        if fixed_mask >> (i - 1) & 1:
-            continue
-        lhs = total - nums[i - 1]
-        rhs = top * (form.share_den - form.share[i - 1]) + eps
-        if lhs != rhs:
+    rest = total - top * form.share_den - eps
+    for i in range(1, g.n):
+        if not fixed_mask >> i & 1 and nums[i] - top * form.share[i] != rest:
+            lhs = total - nums[i]
+            rhs = top * (form.share_den - form.share[i]) + eps
             raise InternalError(
-                f"drop-one tightness violated for player {i}: "
+                f"drop-one tightness violated for player {i + 1}: "
                 f"{Fraction(lhs, den)} != {Fraction(rhs, den)}"
             )
 
@@ -117,98 +134,116 @@ def step_size(
         raise InternalError("step_size called with nothing left to fix")
     if len(x) != g.n:
         raise InputError(f"payoff vector has length {len(x)}, expected {g.n}")
-    nums, den = g.integer_form.numerators([rat(v) for v in (*x, epsilon)])
+    form = g.integer_form
+    nums, den = form.numerators([rat(v) for v in (*x, epsilon)])
     eps = nums.pop()
-    lam, mask = _step(g, nums, eps, den, fixed.mask, _orders(g, nums, den, fixed.mask),
-                      _fixed_sums(g, nums, den, fixed.mask, [0] * g.n))
+    share = form.shares_over(den)
+    lam, mask = _step(g, nums, eps, den, share, fixed.mask, _orders(g, nums, share, fixed.mask),
+                      _fixed_sums(g, nums, share, fixed.mask, [0] * g.n))
     return lam, Coalition(mask)
 
 
-def _orders(g: SingleMarketGame, nums: Sequence[int], den: int,
+def _orders(g: SingleMarketGame, nums: Sequence[int], share: Sequence[int],
             fixed_mask: int) -> list[list[int]]:
     """For each 0-based position i >= 1, the later players outside F sorted
-    by (weight, index), weight_j = nums[j] - alpha_i * share_j over den.
+    by (weight, index), weight_j = nums[j] - alpha_i * share_j, with `share`
+    the shares over the den of `nums` (`IntegerForm.shares_over`).
 
     The improving direction moves every unfixed player j >= 2 by the same
     -lambda, and a larger den scales every weight by the same positive
     factor, so no order ever changes, ties included: the primal-dual loop
     sorts once per game and drops the players each round fixes."""
-    form = g.integer_form
-    share = form.shares_over(den)
+    alpha = g.integer_form.alpha
     free = [j for j in range(1, g.n) if not fixed_mask >> j & 1]
     orders = [[]]  # position 0, player 1, is never a smallest member
     for i in range(1, g.n):
-        a = form.alpha[i]
+        a = alpha[i]
         later = free[bisect_right(free, i):]
         # the sort is stable and `later` ascends, so equal weights keep index order
         orders.append(sorted(later, key=lambda j: nums[j] - a * share[j]))
     return orders
 
 
-def _fixed_sums(g: SingleMarketGame, nums: Sequence[int], den: int, players: int,
-                sums: list[int]) -> list[int]:
+def _fixed_sums(g: SingleMarketGame, nums: Sequence[int], share: Sequence[int],
+                players: int, sums: list[int]) -> list[int]:
     """Add to sums[i], for each 0-based position i >= 1, the negative weights
-    nums[j] - alpha_i * share_j over den of the players j > i in the mask
-    `players`; returns `sums`.
+    nums[j] - alpha_i * share_j of the players j > i in the mask `players`
+    (`share` over the den of `nums`); returns `sums`.
 
     A fixed player's payoff never moves and a larger den scales every
     weight by the same positive factor, so the sums over F carry across
-    rounds: scaled with den, and added to for each player newly fixed."""
-    form = g.integer_form
-    share = form.shares_over(den)
-    for j in range(2, g.n):
-        if players >> j & 1:
-            for i in range(1, j):
-                w = nums[j] - form.alpha[i] * share[j]
-                if w < 0:
-                    sums[i] += w
+    rounds: scaled with den, and added to for each player newly fixed.
+    alpha is nonincreasing, so j's weight grows with i, and its negative
+    weights sit at the first positions: the scan over i stops at the
+    first nonnegative one."""
+    alpha = g.integer_form.alpha
+    for j in _positions(players):
+        for i in range(1, j):
+            w = nums[j] - alpha[i] * share[j]
+            if w >= 0:
+                break
+            sums[i] += w
     return sums
 
 
-def _step(g: SingleMarketGame, nums: Sequence[int], eps: int, den: int, fixed_mask: int,
-          orders: Sequence[Sequence[int]], sums: Sequence[int]) -> tuple[Fraction, int]:
+def _step(g: SingleMarketGame, nums: Sequence[int], eps: int, den: int,
+          share: Sequence[int], fixed_mask: int, orders: Sequence[Sequence[int]],
+          sums: Sequence[int]) -> tuple[Fraction, int]:
     """`step_size` on x = nums / den and epsilon = eps / den (den a multiple
-    of `integer_form.den`), given that point's `_orders` and `_fixed_sums`
-    over F, and an F that leaves a player to fix.
+    of `integer_form.den`, `share` the shares over den), given that point's
+    `_orders` and `_fixed_sums` over F, and an F that leaves a player to
+    fix; the blocking coalition comes back as a mask.
 
     The cheapest candidates for t = 1, 2, ... are running prefix sums over
     i's order, and candidate steps (T - epsilon) / (1 + t) are compared by
     cross-multiplication; ties go to the first (i, t).  Each step is a
     weighted mean of the last one and the weight added, and the weights
     ascend, so once a weight is not below the step no later step of i is
-    smaller, and the scan of i stops."""
-    n = g.n
-    budget = n - 1 - fixed_mask.bit_count()
-    form = g.integer_form
-    share = form.shares_over(den)
-    # best so far: the step best_num / (den * best_t1), i's order taken to best_take
-    best_num, best_t1, best_i, best_take = None, 1, 0, 0
-    for i in range(1, n):  # 0-based position of the smallest member
-        a = form.alpha[i]
-        in_f = fixed_mask >> i & 1
+    smaller, and the scan of i stops.
+
+    Each order is read whole, with no cap at the budget - 1 + [i in F]
+    players a candidate may take outside F, budget = n - 1 - |F| (every
+    free player but player 1): orders[i] holds only free players after
+    i, and those number at most budget - 1 when i is free, since i is
+    one of the budget, and at most budget when i is in F."""
+    alpha = g.integer_form.alpha
+    # best so far: the step best_num / (den * best_t1), i's order taken to
+    # best_take; 1 / 0 stands for no candidate yet, above every step
+    best_num, best_t1, best_i, best_take = 1, 0, 0, 0
+    for i in range(1, g.n):  # 0-based position of the smallest member
+        order, in_f = orders[i], fixed_mask >> i & 1
+        if in_f and not order:  # a candidate needs a member outside F
+            continue
+        a = alpha[i]
         total = nums[i] - a * share[i] - eps + sums[i]
         # t >= 1 counts the candidate's members outside F, i included;
         # each outside player taken (cheapest first) adds one
         t1 = 2 - in_f  # 1 + t before any outside player is taken
-        if not in_f and (best_num is None or total * best_t1 < best_num * t1):
+        if not in_f and total * best_t1 < best_num * t1:
             best_num, best_t1, best_i, best_take = total, t1, i, 0
-        for take, j in enumerate(orders[i][:budget - 1 + in_f], 1):
+        for take, j in enumerate(order, 1):
             w = nums[j] - a * share[j]
             if w * t1 >= total and (take > 1 or not in_f):
                 break
             total += w
             t1 += 1
-            if best_num is None or total * best_t1 < best_num * t1:
+            if total * best_t1 < best_num * t1:
                 best_num, best_t1, best_i, best_take = total, t1, i, take
-    if best_num is None:
+    if not best_t1:
         raise InternalError("no candidate coalition found; family inconsistent")
     lam = Fraction(best_num, den * best_t1)
-    if lam < 0:
+    if best_num < 0:
         raise InternalError(f"negative step {lam}: state infeasible")
-    a = form.alpha[best_i]
-    members = [j for j in range(best_i + 1, n)
-               if fixed_mask >> j & 1 and nums[j] < a * share[j]] + orders[best_i][:best_take]
-    return lam, sum(1 << j for j in members) | 1 << best_i
+    # i, the first best_take players of its order, and every later fixed
+    # player of negative weight
+    a = alpha[best_i]
+    mask = 1 << best_i
+    for j in islice(orders[best_i], best_take):
+        mask |= 1 << j
+    for j in _positions(fixed_mask >> best_i + 1 << best_i + 1):
+        if nums[j] < a * share[j]:
+            mask |= 1 << j
+    return lam, mask
 
 
 def _canonical_allocation(
@@ -222,45 +257,56 @@ def _canonical_allocation(
 def nucleolus_primal_dual(
     g: SingleMarketGame, trace: Optional[list[TraceStep]] = None
 ) -> Allocation:
-    """Exact nucleolus of a single-market game in at most n - 1 rounds.
+    """Exact nucleolus of a single-market game in at most n - 1 rounds,
+    reported in original player order and demand units."""
+    nums, den = _primal_dual(g, trace)
+    return _canonical_allocation(g, [Fraction(v, den) for v in nums],
+                                 "nucleolus (primal-dual)")
 
-    Reported in original player order and demand units.  The round state
-    is x = nums / den, epsilon = eps / den and the fixed set F as a mask,
-    from x = alpha_1 * share (every drop-one coalition tight), epsilon = 0.
+
+def _primal_dual(g: SingleMarketGame, trace: Optional[list[TraceStep]]) -> tuple[list[int], int]:
+    """The primal-dual rounds; returns the nucleolus in canonical order as
+    numerators over one den > 0.
+
+    The round state is x = nums / den, epsilon = eps / den and the fixed
+    set F as a mask, from x = alpha_1 * share (every drop-one coalition
+    tight), epsilon = 0.  The shares over den, the orders and the sums
+    over F are built once and kept: the shares and sums are scaled only
+    when den grows, and a round drops the players it fixes from the
+    orders and adds their weights to the sums.
     """
     n = g.n
-    method = "nucleolus (primal-dual)"
-    if n == 1:
-        return _canonical_allocation(g, (g.alpha[0],), method)
     form = g.integer_form
     nums = [form.alpha[0] * s for s in form.share]
     eps, den, fixed, level = 0, form.den, 0, 0
+    share = form.shares_over(den)
     _check_drop_one(g, nums, eps, den, fixed)
-    orders, sums = _orders(g, nums, den, fixed), [0] * n
+    orders, sums = _orders(g, nums, share, fixed), [0] * n
     while fixed.bit_count() < n - 1:
         level += 1
         if level > n - 1:
             raise InternalError("primal-dual exceeded its n - 1 round bound")
-        lam, blocking = _step(g, nums, eps, den, fixed, orders, sums)
-        if lam > 0:
+        lam, blocking = _step(g, nums, eps, den, share, fixed, orders, sums)
+        if lam:  # never negative
             # move x by lam * delta and epsilon by lam
-            delta = improving_direction(Coalition(fixed), n)
+            delta = _direction(fixed, n)
             big = lcm(den, lam.denominator)
             up = big // den
             step = lam.numerator * (big // lam.denominator)
             nums = [v * up + step * d for v, d in zip(nums, delta)]
             eps, den = eps * up + step, big
             if up > 1:
+                share = [s * up for s in share]
                 sums = [v * up for v in sums]
         grown = fixed | blocking
         if grown == fixed:
             raise InternalError("fixed set failed to grow")
         if grown & 1:
             raise InternalError("player 1 can never enter the fixed set")
-        for j in (k for k in range(2, n) if (grown ^ fixed) >> k & 1):
-            for order in orders[1:j]:  # a newly fixed player leaves the orders
-                order.remove(j)
-        _fixed_sums(g, nums, den, grown ^ fixed, sums)
+        _fixed_sums(g, nums, share, grown ^ fixed, sums)
+        for j in _positions(grown ^ fixed):  # a newly fixed player leaves the orders
+            for i in range(1, j):
+                orders[i].remove(j)
         fixed = grown
         _check_drop_one(g, nums, eps, den, fixed)
         if trace is not None:
@@ -273,7 +319,7 @@ def nucleolus_primal_dual(
                     family=Coalition.of(g.perm[k] for k in range(n) if fixed >> k & 1),
                 )
             )
-    return _canonical_allocation(g, [Fraction(v, den) for v in nums], method)
+    return nums, den
 
 
 # ---------------------------------------------------------------------------

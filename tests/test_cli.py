@@ -561,6 +561,19 @@ class TestOracleCalls:
         assert run(capsys, "check", path, str(allocation)) == (3, "", (
             f"error: core enumeration is limited to {ENUMERATION_LIMIT} players, got {n}\n"))
 
+    def test_uncapacitated_check_reports_inefficiency_before_any_table(
+            self, capsys, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a coalition table was built")
+
+        monkeypatch.setattr(cli_module, "coalition_table", refuse)
+        monkeypatch.setattr(game_module, "coalition_table", refuse)
+        allocation = tmp_path / "allocation.json"
+        allocation.write_text('{"allocation": {"A": 1, "B": 1, "C": 1}}')
+        assert run(capsys, "check", MM, str(allocation)) == (2, "", (
+            "error: allocation sums to 3 but the grand coalition is worth 6; "
+            "core membership needs exact efficiency\n"))
+
     @pytest.mark.parametrize("method, enumerations", [("nucleolus", 0), ("shapley", 0)])
     def test_core_flag_enumerates_only_without_a_route_verdict(
         self, capsys, tmp_path, monkeypatch, method, enumerations

@@ -7,6 +7,7 @@ from conftest import random_uncapacitated
 from coopshare import (
     Coalition,
     Instance,
+    InternalError,
     UnsupportedModeError,
     core_check,
     core_point,
@@ -22,6 +23,7 @@ from coopshare import (
     value_general,
     value_single_market,
 )
+from coopshare import multimarket as multimarket_module
 
 MULTI = normalize(
     Instance(
@@ -114,6 +116,65 @@ class TestSumOfNucleoli:
         )
         fast = nucleolus_primal_dual(to_single_market(inst, 0))
         assert sum_of_nucleoli(decompose(inst)).values == fast.values
+
+
+def planted_uncapacitated(rng, n, m):
+    """A random uncapacitated instance with rational data and, where the
+    sizes allow, a market without demand, a pair of twins and a null
+    player (no demand, strictly the weakest margin everywhere); returns
+    the instance, the twins and the null player (None when not planted)."""
+    price = [F(rng.randint(4, 12), rng.randint(1, 2)) for _ in range(m)]
+    cost = [[F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(m)] for _ in range(n)]
+    demand = [[F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(m)] for _ in range(n)]
+    twins = null = None
+    if n >= 3:
+        twins = tuple(rng.sample(range(n), 2))
+        cost[twins[1]], demand[twins[1]] = list(cost[twins[0]]), list(demand[twins[0]])
+        null = rng.choice([i for i in range(n) if i not in twins])
+        demand[null] = [F(0)] * m
+        cost[null] = [max(c[j] for c in cost) + F(1, 2) for j in range(m)]
+    if m >= 2 and rng.random() < 0.5:
+        dry = rng.randrange(m)
+        for row in demand:
+            row[dry] = F(0)
+    inst = Instance(tuple(f"p{i}" for i in range(n)), tuple(f"m{j}" for j in range(m)),
+                    tuple(price), tuple(map(tuple, cost)), tuple(map(tuple, demand)),
+                    (None,) * n)
+    return normalize(inst), twins, null
+
+
+class TestIntegerHandOff:
+    """`sum_of_nucleoli` reads each market's nucleolus as integers; its sum
+    is exactly that of the per-market `nucleolus_primal_dual` allocations."""
+
+    def test_equals_the_sum_of_the_per_market_nucleoli(self):
+        rng = random.Random(2031)
+        dropped = 0
+        for _ in range(240):
+            n, m = rng.randint(1, 10), rng.randint(1, 4)
+            inst, twins, null = planted_uncapacitated(rng, n, m)
+            dec = decompose(inst)
+            dropped += len(dec.markets) < m
+            parts = [nucleolus_primal_dual(g).values for g in dec.games]
+            expected = tuple(sum(column, F(0)) for column in zip(*parts)) or (F(0),) * n
+            alloc = sum_of_nucleoli(dec)
+            assert alloc.values == expected
+            assert alloc.total == sum(expected) == value_general(inst, Coalition.full(n))
+            if twins is not None:
+                assert alloc.values[twins[0]] == alloc.values[twins[1]]
+                assert alloc.values[null] == 0
+        assert dropped > 40
+
+    def test_inefficient_market_nucleolus_refused(self, monkeypatch):
+        real = multimarket_module._primal_dual
+
+        def off_by_one(g, trace):
+            nums, den = real(g, trace)
+            return [nums[0] + 1, *nums[1:]], den
+
+        monkeypatch.setattr(multimarket_module, "_primal_dual", off_by_one)
+        with pytest.raises(InternalError, match="market nucleolus sums to"):
+            sum_of_nucleoli(decompose(MULTI))
 
 
 class TestShapleyMultimarket:

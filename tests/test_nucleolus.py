@@ -80,6 +80,10 @@ class TestImprovingDirection:
         assert d == (F(2), F(-1), F(0), F(-1))
         assert sum(d) == 0
 
+    def test_player_one_fixed_breaks_efficiency(self):
+        with pytest.raises(InternalError, match="preserve efficiency"):
+            improving_direction(Coalition.of([1]), 3)
+
     def test_orthogonal_to_family_generators(self):
         fixed = Coalition.of([2, 3])
         d = improving_direction(fixed, 5)
@@ -192,6 +196,50 @@ class TestPrimalDual:
                 eps = entry.epsilon
                 assert len(entry.family) > seen
                 seen = len(entry.family)
+
+
+class TestPrimalDualChecks:
+    """The loop's checks still run on the integer state: drop-one
+    tightness every round, and a step that cannot be taken is refused."""
+
+    def test_drop_one_checked_every_round(self, monkeypatch):
+        real = nucleolus_module._check_drop_one
+        calls = []
+
+        def counted(g, nums, eps, den, fixed_mask):
+            calls.append(fixed_mask)
+            real(g, nums, eps, den, fixed_mask)
+
+        monkeypatch.setattr(nucleolus_module, "_check_drop_one", counted)
+        rng = random.Random(9)
+        for _ in range(40):
+            g = distinct_single_market(rng, rng.randint(2, 12))
+            trace = []
+            del calls[:]
+            nucleolus_primal_dual(g, trace)
+            # at the start, then after each round on the set it fixed
+            assert calls == [0] + [g.map_coalition(t.family).mask for t in trace]
+
+    @pytest.mark.parametrize("blocking, message",
+                             [(0, "failed to grow"), (0b11, "player 1 can never")])
+    def test_faulty_blocking_coalition_refused(self, monkeypatch, blocking, message):
+        monkeypatch.setattr(nucleolus_module, "_step", lambda *state: (F(0), blocking))
+        with pytest.raises(InternalError, match=message):
+            nucleolus_primal_dual(DEMO_GAME)
+
+    def test_step_without_a_candidate_refused(self):
+        # F holds every player but 1, so every order is empty
+        g = single_market([3, 2, 1], [THIRD] * 3)
+        nums, den = g.integer_form.numerators([g.alpha[0] * v for v in g.share])
+        share = g.integer_form.shares_over(den)
+        with pytest.raises(InternalError, match="no candidate"):
+            nucleolus_module._step(g, nums, 0, den, share, 0b110, [[], [], []], [0] * 3)
+
+    def test_negative_step_refused(self):
+        # player 2 below its own value: the move would lower the level
+        g = single_market([3, 1], [F(1, 2), F(1, 2)])
+        with pytest.raises(InternalError, match="negative step -1/4"):
+            step_size(g, [F(3), F(0)], F(0), Coalition(0))
 
 
 class TestSchemeState:
@@ -1070,6 +1118,24 @@ def distinct_single_market(rng, n):
     return single_market(alpha, [F(w, sum(weights)) for w in weights])
 
 
+def assert_within_cap(orders, fixed_mask, n):
+    """The bound in `_step`'s docstring: orders[i] holds at most
+    budget - 1 + [i in F] players, budget = n - 1 - |F|, so reading each
+    order whole reads no more than a candidate may take."""
+    budget = n - 1 - fixed_mask.bit_count()
+    for i in range(1, n):
+        assert len(orders[i]) <= budget - 1 + (fixed_mask >> i & 1)
+
+
+def reference_fixed_sums(g, x, fixed_mask):
+    """For each position i >= 1, the Fraction sum of the negative weights
+    x_j - alpha_i * share_j of the fixed players j > i."""
+    n = g.n
+    return [sum((min(F(0), x[j] - g.alpha[i] * g.share[j])
+                 for j in range(i + 1, n) if fixed_mask >> j & 1), F(0))
+            for i in range(1, n)]
+
+
 class TestIntegerStepSize:
     @pytest.fixture
     def compared(self, monkeypatch):
@@ -1080,8 +1146,8 @@ class TestIntegerStepSize:
         fast = nucleolus_module._step
         rounds = []
 
-        def both(g, nums, eps, den, fixed_mask, orders, sums):
-            got = fast(g, nums, eps, den, fixed_mask, orders, sums)
+        def both(g, nums, eps, den, share, fixed_mask, orders, sums):
+            got = fast(g, nums, eps, den, share, fixed_mask, orders, sums)
             x = [F(v, den) for v in nums]
             expected = reference_step_size(g, x, F(eps, den), Coalition(fixed_mask))
             assert (got[0], Coalition(got[1])) == expected
@@ -1112,15 +1178,22 @@ class TestIntegerStepSize:
         assert sum(lam > 0 for lam in compared) > 200
 
     def test_carried_fixed_sums_equal_fresh_sums_every_round(self, monkeypatch):
-        """The loop scales its sums over F when den grows and adds each newly
-        fixed player's weights; a fresh sum at that round is the same."""
+        """The loop scales its shares and its sums over F when den grows and
+        adds each newly fixed player's weights to the sums; at every round
+        the shares are the ones over den, the sums are a fresh integer sum
+        and the Fraction reference's, over den, and the orders keep within
+        the candidate cap."""
         fast = nucleolus_module._step
         rounds = []
 
-        def fresh(g, nums, eps, den, fixed_mask, orders, sums):
-            assert sums == _fixed_sums(g, nums, den, fixed_mask, [0] * g.n)
+        def fresh(g, nums, eps, den, share, fixed_mask, orders, sums):
+            assert_within_cap(orders, fixed_mask, g.n)
+            assert share == g.integer_form.shares_over(den)
+            assert sums == _fixed_sums(g, nums, share, fixed_mask, [0] * g.n)
+            x = [F(v, den) for v in nums]
+            assert [F(v, den) for v in sums[1:]] == reference_fixed_sums(g, x, fixed_mask)
             rounds.append(fixed_mask)
-            return fast(g, nums, eps, den, fixed_mask, orders, sums)
+            return fast(g, nums, eps, den, share, fixed_mask, orders, sums)
 
         monkeypatch.setattr(nucleolus_module, "_step", fresh)
         rng = random.Random(77)
@@ -1134,8 +1207,16 @@ class TestIntegerStepSize:
             nucleolus_primal_dual(single_market([F(5, 2)] * n, [F(1, n)] * n))
             nucleolus_primal_dual(single_market(range(n, 0, -1), [F(1, n)] * n))
 
-    def test_matches_reference_off_the_scheme_path(self):
-        # arbitrary points and families, not only those the scheme reaches
+    def test_matches_reference_off_the_scheme_path(self, monkeypatch):
+        # arbitrary points and families, not only those the scheme reaches;
+        # their orders stay within the candidate cap too
+        fast = nucleolus_module._step
+
+        def capped(g, nums, eps, den, share, fixed_mask, orders, sums):
+            assert_within_cap(orders, fixed_mask, g.n)
+            return fast(g, nums, eps, den, share, fixed_mask, orders, sums)
+
+        monkeypatch.setattr(nucleolus_module, "_step", capped)
         rng = random.Random(55)
         for _ in range(300):
             n = rng.randint(2, 9)
