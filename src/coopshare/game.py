@@ -569,7 +569,7 @@ def min_excess(
             if w < 0:
                 mask |= 1 << i
                 total += w
-                if worst is None or w > worst[1] or (w == worst[1] and i < worst[0]):
+                if worst is None or w > worst[1]:
                     worst = (i, w)
         if mask == (1 << n) - 1:
             mask &= ~(1 << worst[0])

@@ -11,8 +11,9 @@
   are built once and rescaled only when it grows.  A round costs O(n^2)
   integer operations.  `sum_of_nucleoli` takes the result as integers.
 * `nucleolus_separation` — cutting-plane variant: each lexicographic
-  level is solved on one warm dual tableau, where the violated coalitions
-  that the polynomial `separate` oracle finds enter as columns.
+  level is solved on one warm dual tableau, where the one violated
+  coalition that the polynomial `separate` oracle finds enters as a
+  column, one per re-solve.
 * `nucleolus_bruteforce` — the same levels (the prenucleolus) for any
   characteristic function given as an oracle or an instance, read once
   into `game.coalition_table`; its cut scans that table for the one most
@@ -24,7 +25,7 @@ and differ only in their cut.  At each level every binding coalition
 (negative multiplier, linearly independent of the already-fixed ones) is
 fixed, so at most n - 1 levels are solved per game, all on one warm
 `ratlp.LazyRows` tableau: built once, it re-solves from its last basis
-after a cut and is carried into each next level.
+after each cut's one column and is carried into each next level.
 
 All three agree exactly; the brute-force route is the ground truth the
 fast routes are tested against.
@@ -35,6 +36,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress, islice
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence, Union
@@ -341,11 +343,14 @@ def separate(
     or certify none exists.
 
     Scans the coalition's smallest member i; among later players the
-    candidate weights sort ascending, the all-nonpositive prefix is the
-    cheapest set, and when that set is span-pinned the nearest feasible
-    edits (dropping a maximal prefix tail, adding a maximal suffix) are
-    the only candidates that can escape the span.  Everything is exact and
-    in integers: the weights are numerators over one scale, and a span test
+    candidate weights sort ascending and the all-nonpositive prefix is the
+    cheapest set S.  Any other coalition starting at i drops members of S,
+    each raising the sum by -w >= 0, and adds later players, each raising
+    it by w > 0, so it is violated only if each of its one-member edits of
+    S is violated alone; and if S and those edits lie in the span, so does
+    it.  So when S is span-pinned, the violated one-member edits are the
+    only candidates that can escape the span.  Everything is exact and in
+    integers: the weights are numerators over one scale, and a span test
     sums the fixed rows' echelon entries over the coalition's bits.
     """
     n = g.n
@@ -364,17 +369,19 @@ def separate(
                 f"separation point violates the fixed value of {coalition}"
             )
         span.add(coalition.mask, value)
-    return _separate(g, *g.integer_form.numerators([*x, epsilon]), span)
+    found = _separate(g, *g.integer_form.numerators([*x, epsilon]), span)
+    return None if found is None else Coalition(found)
 
 
 def _separate(
     g: SingleMarketGame, nums: Sequence[int], den: int, span: _MaskSpan
-) -> Optional[Coalition]:
+) -> Optional[int]:
     """`separate` at a checked point x = nums[:n] / den, epsilon = nums[n] /
     den (den > 0), with the fixed coalitions already in `span`; the
-    separation route's cut passes its loop's own point and span.  It scans
-    each weight x_j - alpha_i * share_j as its integer numerator over one
-    scale, which keeps every order and comparison, ties to index included."""
+    separation route's cut passes its loop's own point and span, and the
+    coalition comes back as a mask.  It scans each weight x_j - alpha_i *
+    share_j as its integer numerator over one scale, which keeps every
+    order and comparison, ties to index included."""
     n = g.n
     form = g.integer_form
     big = lcm(den, form.den)
@@ -397,48 +404,28 @@ def _separate(
         for k in range(jbar):
             mask |= 1 << items[k][1]
         if not span.contains(mask):
-            return Coalition(mask)
-
-        # cheapest set is pinned; scan how far the pinned-and-violated
-        # property extends on both sides of the prefix
-        low = jbar + 1
-        for l in range(jbar, 0, -1):
-            w, j = items[l - 1]
-            if total - w < bound and span.contains(mask & ~(1 << j)):
-                low = l
-            else:
+            return mask
+        # the cheapest set is pinned: drops go from the weight nearest zero
+        # and adds from the least weight, so each edit raises the sum at
+        # least as much as the one before, and a scan stops at the first
+        # edit that is no longer violated
+        for w, j in reversed(items[:jbar]):
+            if total - w >= bound:
                 break
-        if jbar == 0:
-            low = 0
-        if jbar == p:
-            high = p + 1
-        else:
-            high = jbar
-            for l in range(jbar + 1, p + 1):
-                w, j = items[l - 1]
-                if total + w < bound and span.contains(mask | 1 << j):
-                    high = l
-                else:
-                    break
-
-        if low > 1:
-            w, j = items[low - 2]
-            cand = mask & ~(1 << j)
-            if total - w < bound and not span.contains(cand):
-                return Coalition(cand)
-        if high < p:
-            w, j = items[high]
-            cand = mask | 1 << j
-            if total + w < bound and not span.contains(cand):
-                return Coalition(cand)
-        # otherwise no separating coalition starts at i
+            if not span.contains(mask ^ 1 << j):
+                return mask ^ 1 << j
+        for w, j in items[jbar:]:
+            if total + w >= bound:
+                break
+            if not span.contains(mask | 1 << j):
+                return mask | 1 << j
     return None
 
 
 def _sequential_lp(
     n: int,
     value: Callable[[int], Fraction],
-    cut: Callable[..., Sequence[int]],
+    cut: Callable[[list[int], int, _MaskSpan], Optional[int]],
 ) -> tuple[tuple[Fraction, ...], Fraction]:
     """The sequential-LP loop both LP routes run; returns the prenucleolus
     (no level imposes x_i >= v({i})) and the first level's value, the
@@ -452,14 +439,14 @@ def _sequential_lp(
     on one `LazyRows` tableau, built for the first level and carried into
     each next one, where the newly fixed coalitions join as equalities and
     the pool rows now in the span leave.
-    `cut(nums, den, span)` returns coalitions outside the span violated
-    at the level optimum, x(S) - v(S) < epsilon; they enter the tableau
-    as columns, and the level is re-solved from its last basis until the
-    cut returns none.  Then no coalition outside the span is violated, so
-    the restricted optimum is feasible, hence optimal, for the level
-    program over every such coalition, and its dual padded with zeros is
-    an optimal dual of that program: the binding rows fixed below are
-    ones the full program could fix.
+    `cut(nums, den, span)` returns the mask of a coalition outside the
+    span violated at the level optimum, x(S) - v(S) < epsilon, or None; it
+    enters the tableau as one column, and the level is re-solved from its
+    last basis until the cut returns None.  Then no coalition outside the
+    span is violated, so the restricted optimum is feasible, hence
+    optimal, for the level program over every such coalition, and its
+    dual padded with zeros is an optimal dual of that program: the
+    binding rows fixed below are ones the full program could fix.
 
     Every row with a positive multiplier is tight on the whole optimal
     face (complementary slackness), so each one outside the span of the
@@ -483,7 +470,7 @@ def _sequential_lp(
     def rows(masks):
         return [(_chi(m, n) + (-1,), values[m]) for m in masks]
 
-    level = LazyRows((0,) * n + (1,), [(_chi(full, n) + (0,), values[full])], rows(pool))
+    level = LazyRows([(_chi(full, n) + (0,), values[full])], rows(pool))
     while True:  # the rank grows every round, or the round raises
         while True:
             if len(pool) > cut_guard:
@@ -492,12 +479,12 @@ def _sequential_lp(
             if res is None:
                 raise InternalError("level program ended infeasible")
             nums, den, multipliers, _, tight = res
-            violated = cut(nums, den, span)
-            if not violated:
+            mask = cut(nums, den, span)
+            if mask is None:
                 break
-            pool.extend(violated)
-            values.update((m, value(m)) for m in violated)
-            level.add(rows(violated))
+            pool.append(mask)
+            values[mask] = value(mask)
+            level.add(rows([mask]))
         levels.append(Fraction(nums[n], den))
 
         rank = span.rank
@@ -530,11 +517,8 @@ def nucleolus_separation(g: SingleMarketGame) -> Allocation:
     if n == 1:
         return _canonical_allocation(g, (g.alpha[0],), method)
 
-    def cut(nums, den, span):
-        violated = _separate(g, nums, den, span)
-        return () if violated is None else (violated.mask,)
-
-    xs, _ = _sequential_lp(n, lambda m: value_single_market(g, Coalition(m)), cut)
+    xs, _ = _sequential_lp(n, lambda m: value_single_market(g, Coalition(m)),
+                           partial(_separate, g))
     return _canonical_allocation(g, xs, method)
 
 
@@ -651,7 +635,7 @@ def nucleolus_bruteforce(
     def cut(nums, up, span):  # the point is nums / up; the table is integer
         eps = nums[n]
         violated = sorted((e, m) for m, e in enumerate(excesses(table, up, nums)) if e < eps)
-        return list(islice((m for _, m in violated if not span.contains(m)), 1))
+        return next((m for _, m in violated if not span.contains(m)), None)
 
     # the nucleolus's least excess is the least-core value: in the core
     # iff that is nonnegative, at any positive scale

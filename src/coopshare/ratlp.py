@@ -439,8 +439,11 @@ def _two_phase(can: _Canonical) -> tuple[str, _Tableau]:
     return tab.run(tab.m + 1, can.n_with_slack), tab
 
 
-def _solve_primal(lp: LinearProgram) -> LpResult:
-    """Pivot on lp's own tableau."""
+def solve_lp(lp: LinearProgram) -> LpResult:
+    """Solve an LP exactly on its own tableau; deterministic for identical
+    input."""
+    if not isinstance(lp, LinearProgram):
+        raise InputError("solve_lp expects a LinearProgram")
     can = _Canonical(lp)
     status, tab = _two_phase(can)
     if status != OPTIMAL:
@@ -522,19 +525,21 @@ class LazyRows:
     start entries, -div * x, rescaling that row when a cost's denominator
     needs it; `solve` resumes phase-2 primal simplex and returns the point,
     the dual's solution and the tight rows as integers.  The rows must be
-    integer, the first ones of full column rank and bounding c.x.
+    integer and of c's width, the first ones of full column rank and
+    bounding c.x; c is read off that width.
     """
 
-    _NEED = "lazy rows need c = (0, ..., 0, 1) and integer full-rank rows bounding c.x"
+    _NEED = "lazy rows need integer full-rank rows bounding c.x"
 
-    def __init__(self, objective, equalities, rows):
-        eqs, rows, c = list(equalities), list(rows), tuple(objective)
+    def __init__(self, equalities, rows):
+        eqs, rows = list(equalities), list(rows)
         cols = [a for a, _ in eqs] + [[-v for v in a] for a, _ in rows]
+        c = (0,) * (len(cols[0]) - 1) + (1,)
         dual = LinearProgram(MIN, tuple(b for _, b in eqs) + tuple(-b for _, b in rows),
                              tuple(zip(*cols)), (EQ,) * len(c), c,
                              (FREE,) * len(eqs) + (NONNEG,) * len(rows))
         can = _Canonical(dual)
-        if c != (0,) * (len(c) - 1) + (1,) or any(k != 1 for k in can.row_mult):
+        if any(k != 1 for k in can.row_mult):
             raise InternalError(self._NEED)
         self._tab, self._scale, self._first, self._start = (
             _Tableau(can.rows, can.cost1, can.cost2, can.basis0),
@@ -623,11 +628,3 @@ class LazyRows:
         return ([-v for v in cost[start:-1]], tab.div * self._scale,
                 z[first:] + [z[t] - z[t + 1] for t in range(0, first, 2)], tab.div,
                 [v == 0 for v in cost[first:start]])
-
-
-def solve_lp(lp: LinearProgram) -> LpResult:
-    """Solve an LP exactly on its own tableau; deterministic for identical
-    input."""
-    if not isinstance(lp, LinearProgram):
-        raise InputError("solve_lp expects a LinearProgram")
-    return _solve_primal(lp)

@@ -302,9 +302,9 @@ def reference_shapley_bruteforce(value, n) -> Allocation:
 
 
 def reference_separate(g, x, epsilon, span):
-    """The separation cut scanned over Fraction weights, 1-based players;
-    `span` answers `contains(mask)`.  The integer cut must return the same
-    mask at every point."""
+    """The separation cut scanned over Fraction weights, 1-based players,
+    returning a mask or None; `span` answers `contains(mask)`.  The integer
+    cut must return the same mask at every point."""
     n = g.n
     for i in range(1, n + 1):
         a = g.alpha[i - 1]
@@ -322,7 +322,7 @@ def reference_separate(g, x, epsilon, span):
         for k in range(jbar):
             mask |= 1 << (items[k][1] - 1)
         if not span.contains(mask):
-            return Coalition(mask)
+            return mask
         low = jbar + 1
         for l in range(jbar, 0, -1):
             w, j = items[l - 1]
@@ -346,12 +346,12 @@ def reference_separate(g, x, epsilon, span):
             w, j = items[low - 2]
             cand = mask & ~(1 << (j - 1))
             if total - w < bound and not span.contains(cand):
-                return Coalition(cand)
+                return cand
         if high < p:
             w, j = items[high]
             cand = mask | 1 << (j - 1)
             if total + w < bound and not span.contains(cand):
-                return Coalition(cand)
+                return cand
     return None
 
 

@@ -373,18 +373,32 @@ class TestSeparationCut:
         assert {len(c[1]) for c in calls} == set(range(2, 11))
         assert any(c[4] is None for c in calls) and any(c[4] for c in calls)
         for g, x, epsilon, fixed, found in calls:
-            assert separate(g, x, epsilon, fixed) == found
+            expected = None if found is None else Coalition(found)
+            assert separate(g, x, epsilon, fixed) == expected
 
     def test_integer_cut_matches_fraction_reference(self, monkeypatch):
         """At every call of the route, the cut over integer weights returns
-        the mask that the scan over Fraction weights returns."""
-        calls = []
+        the mask that the scan over Fraction weights returns.  Its answers
+        include one-member drops from the cheapest set and one-member adds
+        to it, the two escapes from a span that pins the cheapest set."""
+        calls, edits = [], {"drop": 0, "add": 0}
         real = nucleolus_module._separate
 
         def spy(g, nums, den, span):
             found = real(g, nums, den, span)
-            assert found == reference_separate(g, *point_of(nums, den), span)
+            x, eps = point_of(nums, den)
+            assert found == reference_separate(g, x, eps, span)
             calls.append(found)
+            if found is not None:
+                # the cheapest set of the answer's smallest member i: i and
+                # every later player of weight <= 0
+                i = (found & -found).bit_length() - 1
+                cheapest = sum(1 << j for j in range(i + 1, g.n)
+                               if x[j] - g.alpha[i] * g.share[j] <= 0) | 1 << i
+                edit = found ^ cheapest
+                assert not edit & edit - 1  # the cheapest set or one member off it
+                if edit:
+                    edits["add" if edit & found else "drop"] += 1
             return found
 
         monkeypatch.setattr(nucleolus_module, "_separate", spy)
@@ -394,6 +408,7 @@ class TestSeparationCut:
                 for _ in range(3):
                     nucleolus_separation(make(rng, n))
         assert None in calls and len(set(calls)) > 50
+        assert edits["drop"] and edits["add"], edits
 
     def test_integer_cut_matches_fraction_reference_on_ties(self):
         """Arbitrary points whose weights tie with each other and with the
@@ -457,10 +472,10 @@ def record_levels(monkeypatch) -> list:
         return sum(1 << k for k, a in enumerate(coeffs[:-1]) if a)
 
     class Recorded(LazyRows):
-        def __init__(self, objective, equalities, rows):
+        def __init__(self, equalities, rows):
             equalities, rows = list(equalities), list(rows)
-            super().__init__(objective, equalities, rows)
-            self._record(len(objective) - 1, [], equalities,
+            super().__init__(equalities, rows)
+            self._record(len(equalities[0][0]) - 1, [], equalities,
                          [(mask_of(a), v) for a, v in rows])
 
         def _record(self, n, fixed, equalities, pool):
@@ -713,7 +728,7 @@ class TestBruteForceOnGeneralGames:
         def loop(n, value, cut):
             def recorded(*args):
                 found = cut(*args)
-                cuts.append(len(found))
+                cuts.append(found)
                 return found
 
             in_loop.append(True)
@@ -745,9 +760,9 @@ class TestBruteForceOnGeneralGames:
             cuts.clear()
             nucleolus_bruteforce(source, n)
             assert len(cuts) == sum(len(level.solves) for level in levels)
-            assert 1 <= cuts.count(0) <= n - 1
-            assert cuts.count(0) == len(levels)
-            assert cuts[-1] == 0
+            assert 1 <= cuts.count(None) <= n - 1
+            assert cuts.count(None) == len(levels)
+            assert cuts[-1] is None
         assert not hasattr(nucleolus_module, "solve_lp")
         assert not lp_calls
 
@@ -777,7 +792,7 @@ class TestBruteForceOnGeneralGames:
             def checked(nums, up, span):
                 found = cut(nums, up, span)
                 batch = reference_bruteforce_cut(table, n, nums, up, span)
-                assert list(found) == batch[:1]
+                assert found == (batch[0] if batch else None)
                 batches.append(len(batch))
                 return found
 

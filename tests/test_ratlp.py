@@ -314,7 +314,7 @@ def _level_rows(n, masks, eps, values):
 def _assert_grows_to_cold_optima(n, fixed, pool, extra, values):
     """Start the level tableau from `pool`, add `extra` one row at a time and
     compare every re-solve with a cold solve of the program so far."""
-    lazy = LazyRows((0,) * n + (1,), _level_rows(n, [t for t, _ in fixed], 0, dict(fixed)),
+    lazy = LazyRows(_level_rows(n, [t for t, _ in fixed], 0, dict(fixed)),
                     _level_rows(n, pool, -1, values))
     rows = list(pool)
     for m in [None, *extra]:
@@ -370,7 +370,7 @@ def test_carried_levels_match_cold_solves(n, data):
     fixed = [(full, data.draw(value))]
     pool = [1 << k for k in range(n)]
     values = {m: data.draw(value) for m in pool}
-    lazy = LazyRows((0,) * n + (1,), _level_rows(n, [full], 0, dict(fixed)),
+    lazy = LazyRows(_level_rows(n, [full], 0, dict(fixed)),
                     _level_rows(n, pool, -1, values))
     levels = 0
     while True:
@@ -422,7 +422,7 @@ def test_integer_results_convert_to_certified_results():
         fixed = [(full, value())]
         pool = [1 << k for k in range(n)]
         values = {m: value() for m in pool}
-        lazy = LazyRows((0,) * n + (1,), _level_rows(n, [full], 0, dict(fixed)),
+        lazy = LazyRows(_level_rows(n, [full], 0, dict(fixed)),
                         _level_rows(n, pool, -1, values))
         while True:
             extra = [m for m in rng.sample(range(1, full), min(3, full - 1))
@@ -473,11 +473,9 @@ def test_lazy_rows_rescale_the_cost_row():
 
 def test_lazy_rows_refusals():
     with pytest.raises(InternalError):  # x_2 is not bounded by the rows
-        LazyRows((0, 1), [], [((1, 0), 0)])
-    with pytest.raises(InternalError):  # a negative objective entry
-        LazyRows((0, -1), [((1, 0), 1)], [((1, -1), 0)])
+        LazyRows([], [((1, 0), 0)])
     # an infeasible program: its dual is unbounded
-    lazy = LazyRows((0, 1), [((1, 0), 1)], [((1, -1), 0)])
+    lazy = LazyRows([((1, 0), 1)], [((1, -1), 0)])
     lazy.add([((1, 0), 2)])
     assert lazy.solve() is None
 
